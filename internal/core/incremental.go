@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"ipin/internal/graph"
@@ -19,9 +20,10 @@ import (
 // everything already seen. What does survive appends is the block
 // decomposition of parallel.go: the log is kept partitioned into sealed,
 // contiguous time chunks, each chunk carries its block-local reverse-scan
-// sketches (computed once, when the chunk is sealed), and producing full
-// summaries is a fold over the chunks — the same boundary stitch the
-// parallel scan runs, against cached block-local state.
+// sketches (computed once — when a live chunk is sealed, or on first use
+// for a chunk recovered from its edges), and producing full summaries is
+// a fold over the chunks — the same boundary stitch the parallel scan
+// runs, against cached block-local state.
 //
 // Appending a chunk therefore costs one reverse scan of the NEW
 // interactions only; a fold costs the boundary walks (bounded by ω around
@@ -85,26 +87,58 @@ type foldCache struct {
 // cacheBox shares the latest fold result between the appending owner and
 // any number of concurrently folding views. Stores race benignly: a stale
 // winner only costs the next fold some speed, never correctness, because
-// every cache entry is a valid fold of a chunk prefix.
+// every cache entry is a valid fold of a chunk prefix. rescans counts the
+// recovered chunks whose block-local scan has run, on any view.
 type cacheBox struct {
-	p atomic.Pointer[foldCache]
+	p       atomic.Pointer[foldCache]
+	rescans atomic.Int64
 }
 
 // approxChunk is one sealed, immutable time slice of the stream: its
-// interactions in ascending time order plus the block-local sketches of a
-// reverse scan restricted to the slice. locals is indexed by NodeID and
-// sized to the node count at seal time; nodes introduced by later chunks
-// simply read as nil here.
+// interactions in ascending time order, the node range at seal time, and
+// the block-local sketches of a reverse scan restricted to the slice.
+// The sketches are indexed by NodeID and sized to the node range at seal
+// time; nodes introduced by later chunks simply read as nil here.
 type approxChunk struct {
-	edges  []graph.Interaction
-	locals []*vhll.Sketch
+	edges    []graph.Interaction
+	numNodes int
+	locals   *blockLocals
 }
 
-func (c *approxChunk) local(u graph.NodeID) *vhll.Sketch {
-	if int(u) >= len(c.locals) {
+// blockLocals holds a chunk's block-local sketches, a pure function of
+// its edges. A live chunk fills it when it is sealed; a chunk recovered
+// from its edges fills it on first use, exactly once however many views
+// ask concurrently. Views copy approxChunk by value and share the holder.
+// hashes is the builder's node-hash cache as of the seal, the one other
+// input of the scan, dropped once the scan has run.
+type blockLocals struct {
+	once   sync.Once
+	hashes []uint64
+	sk     atomic.Pointer[[]*vhll.Sketch] // nil until the scan has run
+}
+
+// sketches returns the chunk's block-local sketches, running the block
+// scan first if no one has yet. rescans, when non-nil, counts that scan.
+func (c *approxChunk) sketches(omega int64, precision int, rescans *atomic.Int64) []*vhll.Sketch {
+	b := c.locals
+	b.once.Do(func() {
+		locals := make([]*vhll.Sketch, c.numNodes)
+		scanApproxBlock(c.edges, locals, b.hashes, omega, precision)
+		b.hashes = nil
+		b.sk.Store(&locals)
+		if rescans != nil {
+			rescans.Add(1)
+		}
+	})
+	return *b.sk.Load()
+}
+
+// localAt returns u's sketch in a chunk's block-local table.
+func localAt(locals []*vhll.Sketch, u graph.NodeID) *vhll.Sketch {
+	if int(u) >= len(locals) {
 		return nil
 	}
-	return c.locals[int(u)]
+	return locals[int(u)]
 }
 
 // NewIncrementalApprox returns an empty incremental builder for window
@@ -228,40 +262,41 @@ func (inc *IncrementalApprox) ResumeAt(firstChunk, retiredEdges int) error {
 // every previously sealed interaction, and reference nodes < numNodes;
 // numNodes may exceed the current range to introduce new nodes.
 func (inc *IncrementalApprox) AppendChunk(edges []graph.Interaction, numNodes int) error {
-	if err := inc.validateChunk(edges, numNodes); err != nil {
+	if err := inc.AppendSealedChunk(edges, numNodes); err != nil {
 		return err
 	}
 	span := obs.NewSpan(sink(), "scan/chunk")
-	locals := make([]*vhll.Sketch, numNodes)
-	scanApproxBlock(edges, locals, inc.hashes, inc.omega, inc.precision)
-	inc.seal(edges, locals)
+	inc.chunks[len(inc.chunks)-1].sketches(inc.omega, inc.precision, nil)
 	span.Endf("%s edges sealed (chunk %d, %s total)",
 		obs.Count(int64(len(edges))), len(inc.chunks), obs.Count(int64(inc.edgeCount)))
 	return nil
 }
 
-// AppendSealedChunk seals edges together with precomputed block-local
-// sketches — a chunk recovered from a durable sidecar rather than
-// rescanned. locals must be what AppendChunk would have computed: indexed
-// by NodeID, len(locals) == numNodes, built with the same omega and
-// precision (precision is checked; omega cannot be verified here, so
-// callers must gate on their own recorded value). Both slices are
-// retained. The same ordering/range validation as AppendChunk applies.
-func (inc *IncrementalApprox) AppendSealedChunk(edges []graph.Interaction, locals []*vhll.Sketch, numNodes int) error {
+// AppendSealedChunk seals edges as the next time chunk WITHOUT scanning
+// it — a chunk recovered from a durable sidecar. Its block-local
+// sketches are a pure function of its edges, so the first fold (or
+// Chunk call) that needs them runs the scan, once, and every view
+// shares the result; a fold that the cached prefix covers never does.
+// The slice is retained, and the same ordering/range validation as
+// AppendChunk applies.
+func (inc *IncrementalApprox) AppendSealedChunk(edges []graph.Interaction, numNodes int) error {
 	if err := inc.validateChunk(edges, numNodes); err != nil {
 		return err
 	}
-	if len(locals) != numNodes {
-		return fmt.Errorf("core: sealed chunk has %d local sketches for %d nodes", len(locals), numNodes)
-	}
-	for u, sk := range locals {
-		if sk != nil && sk.Precision() != inc.precision {
-			return fmt.Errorf("core: sealed chunk local %d has precision %d, want %d", u, sk.Precision(), inc.precision)
-		}
-	}
-	inc.seal(edges, locals)
+	inc.chunks = append(inc.chunks, approxChunk{
+		edges:    edges,
+		numNodes: numNodes,
+		locals:   &blockLocals{hashes: inc.hashes[:numNodes:numNodes]},
+	})
+	inc.edgeCount += len(edges)
+	inc.lastAt = edges[len(edges)-1].At
+	inc.anchored = true
 	return nil
 }
+
+// Rescans returns how many recovered chunks have had their block-local
+// scan run so far, by this builder or any of its views.
+func (inc *IncrementalApprox) Rescans() int64 { return inc.cache.rescans.Load() }
 
 // validateChunk checks chunk ordering and node range, then grows the node
 // range and hash cache. It mutates inc only on success.
@@ -288,14 +323,6 @@ func (inc *IncrementalApprox) validateChunk(edges []graph.Interaction, numNodes 
 		inc.hashes = append(inc.hashes, hll.Hash64(uint64(len(inc.hashes))))
 	}
 	return nil
-}
-
-// seal appends a validated chunk.
-func (inc *IncrementalApprox) seal(edges []graph.Interaction, locals []*vhll.Sketch) {
-	inc.chunks = append(inc.chunks, approxChunk{edges: edges, locals: locals})
-	inc.edgeCount += len(edges)
-	inc.lastAt = edges[len(edges)-1].At
-	inc.anchored = true
 }
 
 // SeedFoldCache primes the fold cache with summaries recovered from a
@@ -398,11 +425,16 @@ func (v ChunkView) EachEdge(fn func(graph.Interaction)) {
 // MemoryBytes returns the bytes actually retained by the chunks' cached
 // block-local sketches (arena capacity plus indexes, vhll.MemoryBytes) —
 // the resident sketch state the retention horizon bounds (fold outputs
-// and caches are shared snapshots on top of it).
+// and caches are shared snapshots on top of it). A recovered chunk whose
+// scan has not run yet holds none.
 func (v ChunkView) MemoryBytes() int {
 	n := 0
 	for i := range v.chunks {
-		for _, sk := range v.chunks[i].locals {
+		p := v.chunks[i].locals.sk.Load()
+		if p == nil {
+			continue
+		}
+		for _, sk := range *p {
 			if sk != nil {
 				n += sk.MemoryBytes()
 			}
@@ -414,12 +446,21 @@ func (v ChunkView) MemoryBytes() int {
 // Chunk exposes sealed chunk i (an ABSOLUTE index in
 // [FirstChunk(), NumChunks())): its interactions in ascending time order
 // and its block-local sketches (indexed by NodeID, sized to the node
-// range at seal time). Both slices are the live cached state — callers
-// must treat them as read-only. This is what lets internal/stream
-// persist sealed chunks as durable sidecars without recomputing them.
+// range at seal time), running the block scan of a recovered chunk if
+// none has yet. Both slices are the live cached state — callers must
+// treat them as read-only.
 func (v ChunkView) Chunk(i int) (edges []graph.Interaction, locals []*vhll.Sketch) {
 	c := &v.chunks[i-v.firstChunk]
-	return c.edges, c.locals
+	return c.edges, c.sketches(v.omega, v.precision, &v.cache.rescans)
+}
+
+// ChunkEdges returns sealed chunk i's interactions and its node range at
+// seal time — everything its block-local sketches are a function of,
+// and what internal/stream persists as the chunk's sidecar. It never
+// runs a scan.
+func (v ChunkView) ChunkEdges(i int) (edges []graph.Interaction, numNodes int) {
+	c := &v.chunks[i-v.firstChunk]
+	return c.edges, c.numNodes
 }
 
 // Fold produces full summaries over every retained chunk —
@@ -520,17 +561,25 @@ func (v ChunkView) cachedPrefix() *foldCache {
 // non-nil sketch in the result is owned by the caller (cloned or newly
 // built), never shared with chunk state.
 func (v ChunkView) foldSuffix(from, workers int) []*vhll.Sketch {
+	// Recovered chunks get their block-local scans here, in parallel:
+	// chunks are independent, and this is the only place a fold reads
+	// block-local state.
+	locals := make([][]*vhll.Sketch, len(v.chunks)-from)
+	par.ForEach(workers, len(locals), func(i int) {
+		locals[i] = v.chunks[from+i].sketches(v.omega, v.precision, &v.cache.rescans)
+	})
 	out := make([]*vhll.Sketch, v.numNodes)
 	// Adopt the latest chunk by clone: the stitch mutates suffix state in
 	// place, and the cached locals must survive for the next fold.
-	last := &v.chunks[len(v.chunks)-1]
+	last := locals[len(locals)-1]
 	par.ForEach(workers, v.numNodes, func(ui int) {
-		if sk := last.local(graph.NodeID(ui)); sk != nil {
+		if sk := localAt(last, graph.NodeID(ui)); sk != nil {
 			out[ui] = sk.Clone()
 		}
 	})
 	for b := len(v.chunks) - 2; b >= from; b-- {
 		c := &v.chunks[b]
+		cl := locals[b-from]
 		boundary := v.chunks[b+1].edges[0].At
 		// Boundary walk: propagate suffix entries back through this
 		// chunk's edges, exactly as the parallel scan's stitch does. The
@@ -566,7 +615,7 @@ func (v ChunkView) foldSuffix(from, workers int) []*vhll.Sketch {
 		// locals are cached, so they fold in through the clone-safe merge.
 		par.ForEach(workers, v.numNodes, func(ui int) {
 			u := graph.NodeID(ui)
-			dst := vhll.MergeInto(out[u], c.local(u))
+			dst := vhll.MergeInto(out[u], localAt(cl, u))
 			if d := delta[u]; d != nil {
 				if dst == nil {
 					dst = d

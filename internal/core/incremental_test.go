@@ -329,63 +329,180 @@ func TestSeedFoldCacheValidation(t *testing.T) {
 	}
 }
 
-// TestAppendSealedChunk: sealing a chunk with precomputed locals (the
-// sidecar recovery path) must behave exactly like AppendChunk.
+// TestAppendSealedChunk: sealing a chunk from its edges alone (the
+// sidecar recovery path) defers its block-local scan to first use, and
+// the fold over such chunks is exactly the offline scan.
 func TestAppendSealedChunk(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	l := randomLog(rng, 20, 200)
 	const omega, prec = 30, 4
-	edges := l.Interactions
+	donor, recovered := recoveredPair(t, rng, l, omega, prec)
+	if recovered.EdgeCount() != donor.EdgeCount() || recovered.LastAt() != donor.LastAt() ||
+		recovered.NumNodes() != donor.NumNodes() {
+		t.Fatalf("recovered state %d/%d/%d, donor %d/%d/%d",
+			recovered.EdgeCount(), recovered.LastAt(), recovered.NumNodes(),
+			donor.EdgeCount(), donor.LastAt(), donor.NumNodes())
+	}
+	rv := recovered.View()
+	if recovered.Rescans() != 0 || rv.MemoryBytes() != 0 {
+		t.Fatalf("sealing scanned: %d rescans, %d sketch bytes", recovered.Rescans(), rv.MemoryBytes())
+	}
+	want := foldBytes(t, mustApprox(t, l, omega, prec))
+	if got := foldBytes(t, rv.Fold()); !bytes.Equal(got, want) {
+		t.Fatal("fold over sealed chunks differs from offline scan")
+	}
+	if got := recovered.Rescans(); got != int64(rv.NumChunks()) {
+		t.Fatalf("%d rescans for %d chunks", got, rv.NumChunks())
+	}
+	// The scans ran once: a refold (cache hit) and Chunk reads add none,
+	// and every rescanned chunk matches the live seal's sketches.
+	dv := donor.View()
+	if got := foldBytes(t, recovered.View().Fold()); !bytes.Equal(got, want) {
+		t.Fatal("cached refold differs")
+	}
+	for i := 0; i < dv.NumChunks(); i++ {
+		_, wl := dv.Chunk(i)
+		_, gl := rv.Chunk(i)
+		if len(wl) != len(gl) {
+			t.Fatalf("chunk %d: %d locals, want %d", i, len(gl), len(wl))
+		}
+		for u := range wl {
+			if !sameSketch(t, wl[u], gl[u]) {
+				t.Fatalf("chunk %d node %d: rescanned sketch differs from the live seal's", i, u)
+			}
+		}
+	}
+	if got := recovered.Rescans(); got != int64(rv.NumChunks()) {
+		t.Fatalf("%d rescans after rereads, want %d", got, rv.NumChunks())
+	}
+	if rv.MemoryBytes() != dv.MemoryBytes() {
+		t.Fatalf("rescanned sketch bytes %d, live %d", rv.MemoryBytes(), dv.MemoryBytes())
+	}
+	if donor.Rescans() != 0 {
+		t.Fatalf("live seals counted %d rescans", donor.Rescans())
+	}
+}
 
-	// Build once with AppendChunk to harvest the block-local sketches.
-	donor, err := NewIncrementalApprox(omega, prec, l.NumNodes)
+// recoveredPair seals l in random chunks twice: once live (AppendChunk)
+// and once from the donor's chunk edges and node ranges alone
+// (AppendSealedChunk), as recovery from sidecars does.
+func recoveredPair(t *testing.T, rng *rand.Rand, l *graph.Log, omega int64, prec int) (donor, recovered *IncrementalApprox) {
+	t.Helper()
+	donor, err := NewIncrementalApprox(omega, prec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bounds []int
+	edges := l.Interactions
 	for lo := 0; lo < len(edges); {
-		hi := lo + 1 + rng.Intn(60)
-		if hi > len(edges) {
-			hi = len(edges)
-		}
+		hi := min(lo+1+rng.Intn(60), len(edges))
 		if err := donor.AppendChunk(edges[lo:hi], l.NumNodes); err != nil {
 			t.Fatal(err)
 		}
-		bounds = append(bounds, hi)
 		lo = hi
 	}
-
-	recovered, err := NewIncrementalApprox(omega, prec, l.NumNodes)
+	recovered, err = NewIncrementalApprox(omega, prec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dv := donor.View()
 	for i := 0; i < dv.NumChunks(); i++ {
-		ce, cl := dv.Chunk(i)
-		if err := recovered.AppendSealedChunk(ce, cl, len(cl)); err != nil {
+		ce, n := dv.ChunkEdges(i)
+		if err := recovered.AppendSealedChunk(ce, n); err != nil {
 			t.Fatalf("AppendSealedChunk %d: %v", i, err)
 		}
 	}
-	if recovered.EdgeCount() != donor.EdgeCount() || recovered.LastAt() != donor.LastAt() {
-		t.Fatalf("recovered state %d/%d, donor %d/%d",
-			recovered.EdgeCount(), recovered.LastAt(), donor.EdgeCount(), donor.LastAt())
-	}
-	want := foldBytes(t, mustApprox(t, l, omega, prec))
-	if got := foldBytes(t, recovered.View().Fold()); !bytes.Equal(got, want) {
-		t.Fatal("fold over sealed chunks differs from offline scan")
-	}
+	return donor, recovered
+}
 
-	// Validation: locals length and precision must match.
-	fresh, _ := NewIncrementalApprox(omega, prec, l.NumNodes)
-	ce, cl := dv.Chunk(0)
-	if err := fresh.AppendSealedChunk(ce, cl[:len(cl)-1], len(cl)); err == nil {
-		t.Error("short locals accepted")
+func sameSketch(t *testing.T, a, b *vhll.Sketch) bool {
+	t.Helper()
+	if a == nil || b == nil {
+		return a == nil && b == nil
 	}
-	wrong := make([]*vhll.Sketch, len(cl))
-	copy(wrong, cl)
-	wrong[0] = vhll.MustNew(prec + 1)
-	if err := fresh.AppendSealedChunk(ce, wrong, len(cl)); err == nil {
-		t.Error("wrong-precision local accepted")
+	ab, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb, err := b.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ab, bb)
+}
+
+// TestRecoveredChunkFolds: on chunks sealed from edges alone, a
+// from-scratch fold forced by retirement and FoldFrom at every retained
+// chunk are still the offline scan of exactly the folded suffix.
+func TestRecoveredChunkFolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	l := randomLog(rng, 25, 400)
+	const omega, prec = 20, 4
+	_, inc := recoveredPair(t, rng, l, omega, prec)
+	// A fold caches the whole range; retiring then moves the base, so the
+	// next fold starts from scratch over recovered chunks.
+	inc.View().Fold()
+	if n, _ := inc.Retire(int64(l.Interactions[len(l.Interactions)/3].At)); n == 0 {
+		t.Fatal("fixture retired nothing")
+	}
+	v := inc.View()
+	suffix := func(from int) []byte {
+		var es []graph.Interaction
+		for c := from; c < v.NumChunks(); c++ {
+			ce, _ := v.ChunkEdges(c)
+			es = append(es, ce...)
+		}
+		return foldBytes(t, mustApprox(t, &graph.Log{NumNodes: l.NumNodes, Interactions: es}, omega, prec))
+	}
+	if !bytes.Equal(foldBytes(t, v.Fold()), suffix(v.FirstChunk())) {
+		t.Fatal("retirement-forced fold over recovered chunks differs from the offline scan")
+	}
+	for c := v.FirstChunk(); c < v.NumChunks(); c++ {
+		s, err := v.FoldFrom(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(foldBytes(t, s), suffix(c)) {
+			t.Fatalf("FoldFrom(%d) over recovered chunks differs from the offline scan", c)
+		}
+	}
+}
+
+// TestConcurrentRescan: folds racing on views of the same recovered
+// chunks each run or wait for the one shared scan per chunk, and all of
+// them see the offline scan's bytes. Run under -race.
+func TestConcurrentRescan(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	l := randomLog(rng, 25, 400)
+	const omega, prec = 20, 4
+	_, inc := recoveredPair(t, rng, l, omega, prec)
+	want := foldBytes(t, mustApprox(t, l, omega, prec))
+	v := inc.View()
+	var wg sync.WaitGroup
+	got := make([]*ApproxSummaries, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				got[i] = v.Fold()
+				return
+			}
+			s, err := v.FoldFrom(v.FirstChunk())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = s
+		}(i)
+	}
+	wg.Wait()
+	for i, s := range got {
+		if s != nil && !bytes.Equal(foldBytes(t, s), want) {
+			t.Errorf("fold %d differs from the offline scan", i)
+		}
+	}
+	if n := inc.Rescans(); n != int64(v.NumChunks()) {
+		t.Fatalf("%d rescans for %d chunks", n, v.NumChunks())
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"container/heap"
 	"sort"
+	"sync"
 
 	"ipin/internal/graph"
 	"ipin/internal/hll"
@@ -61,42 +62,25 @@ func (c *exactCoverage) add(u graph.NodeID) {
 }
 
 // approxCoverage is the coverage over collapsed sketches: the union is a
-// plain HyperLogLog, marginal gain is estimated by a clone-merge-estimate.
+// plain HyperLogLog, marginal gain is the estimate of the union with the
+// candidate, computed without materializing it.
 type approxCoverage struct {
 	collapsed []*hll.Sketch
-	precision int
 	union     *hll.Sketch
 	current   float64
 }
 
-func newApproxCoverage(s *ApproxSummaries) *approxCoverage {
-	c := &approxCoverage{
-		collapsed: make([]*hll.Sketch, s.NumNodes()),
-		precision: s.Precision,
-		union:     hll.MustNew(s.Precision),
-	}
-	// Collapsing walks every staircase entry of every sketch; each node is
-	// independent, so fan the flatten out across the worker pool.
-	par.ForEach(Parallelism(), len(s.Sketches), func(u int) {
-		if sk := s.Sketches[u]; sk != nil {
-			c.collapsed[u] = sk.Collapse()
-		}
-	})
-	return c
+func newApproxCoverage(collapsed []*hll.Sketch, precision int) *approxCoverage {
+	return &approxCoverage{collapsed: collapsed, union: hll.MustNew(precision)}
 }
 
 func (c *approxCoverage) gain(u graph.NodeID) float64 {
 	if c.collapsed[u] == nil {
 		return 0
 	}
-	merged := c.union.Clone()
-	// Same-precision merge cannot fail.
-	_ = merged.Merge(c.collapsed[u])
-	g := merged.Estimate() - c.current
-	if g < 0 {
-		g = 0
-	}
-	return g
+	// Same-precision unions cannot fail.
+	est, _ := c.union.UnionEstimate(c.collapsed[u])
+	return max(est-c.current, 0)
 }
 
 func (c *approxCoverage) add(u graph.NodeID) {
@@ -107,131 +91,181 @@ func (c *approxCoverage) add(u graph.NodeID) {
 	c.current = c.union.Estimate()
 }
 
-// greedyTopK is Algorithm 4. Candidates are scanned in descending order of
-// their individual influence size; the scan stops as soon as the best
-// marginal gain found so far is at least the next candidate's full size,
-// because a marginal gain never exceeds the full set size. When no
-// remaining candidate adds coverage, the seed set is completed with the
-// largest-size unselected nodes so callers always receive k seeds.
+// approxSizes returns every node's estimated influence size.
+func approxSizes(collapsed []*hll.Sketch) []float64 {
+	size := make([]float64, len(collapsed))
+	par.ForEach(Parallelism(), len(collapsed), func(u int) {
+		if collapsed[u] != nil {
+			size[u] = collapsed[u].Estimate()
+		}
+	})
+	return size
+}
+
+// GreedySeq is one run of Algorithm 4 over fixed summaries, kept so
+// that seed sets of any size come from a single sequence. A greedy round
+// depends only on the seeds already selected, never on k, so the top-k
+// seeds are the first k of the sequence: TopK extends it as far as the
+// largest k asked for and answers smaller k from its prefix, each answer
+// equal to a fresh selection of k seeds. A GreedySeq is safe for
+// concurrent use, and does its set-up work (sizes, ordering, the noisy
+// pre-pass) on the first TopK call.
+type GreedySeq struct {
+	mu       sync.Mutex
+	n        int
+	sizes    func() []float64 // run once, by the first TopK
+	noisy    bool
+	cov      coverage
+	size     []float64
+	order    []graph.NodeID
+	chosen   []bool
+	selected []graph.NodeID
+}
+
+func newGreedySeq(n int, sizes func() []float64, cov coverage, noisy bool) *GreedySeq {
+	return &GreedySeq{n: n, sizes: sizes, cov: cov, noisy: noisy}
+}
+
+// NewExactGreedy returns the greedy sequence over exact summaries.
+func NewExactGreedy(s *ExactSummaries) *GreedySeq {
+	n := s.NumNodes()
+	sizes := func() []float64 {
+		size := make([]float64, n)
+		for u := range size {
+			size[u] = float64(s.IRSSize(graph.NodeID(u)))
+		}
+		return size
+	}
+	return newGreedySeq(n, sizes, newExactCoverage(s), false)
+}
+
+// Greedy returns the greedy sequence over the oracle's collapsed
+// sketches, sharing them rather than collapsing again.
+func (o *ApproxOracle) Greedy() *GreedySeq {
+	return newGreedySeq(len(o.collapsed), func() []float64 { return approxSizes(o.collapsed) },
+		newApproxCoverage(o.collapsed, o.precision), true)
+}
+
+// TopK returns the first k seeds of the sequence (all n when k > n),
+// running the greedy rounds that no earlier call has. The slice is the
+// caller's.
+func (g *GreedySeq) TopK(k int) []graph.NodeID {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	k = min(max(k, 0), g.n)
+	if g.size == nil {
+		g.prepare()
+	}
+	if len(g.selected) < k {
+		g.extend(k)
+	}
+	out := make([]graph.NodeID, k)
+	copy(out, g.selected)
+	return out
+}
+
+// prepare sorts the candidates by size and, for a noisy coverage, runs
+// the first-round pre-pass described at extend.
+func (g *GreedySeq) prepare() {
+	g.size = g.sizes()
+	g.order = make([]graph.NodeID, g.n)
+	for i := range g.order {
+		g.order[i] = graph.NodeID(i)
+	}
+	sort.SliceStable(g.order, func(i, j int) bool { return g.size[g.order[i]] > g.size[g.order[j]] })
+	g.chosen = make([]bool, g.n)
+	if g.noisy && g.n > 0 {
+		clamped := make([]float64, g.n)
+		copy(clamped, g.size)
+		par.ForEach(Parallelism(), g.n, func(u int) {
+			if gain := g.cov.gain(graph.NodeID(u)); gain > clamped[u] {
+				clamped[u] = gain
+			}
+		})
+		m().greedyGainEvals.Add(int64(g.n))
+		g.size = clamped
+		sort.SliceStable(g.order, func(i, j int) bool { return g.size[g.order[i]] > g.size[g.order[j]] })
+	}
+}
+
+// extend is Algorithm 4, run until k seeds are selected. Candidates are
+// scanned in descending order of their individual influence size; the
+// scan stops as soon as the best marginal gain found so far is at least
+// the next candidate's full size, because a marginal gain never exceeds
+// the full set size. When no remaining candidate adds coverage, the
+// sequence continues with the largest-size unselected nodes so callers
+// always receive k seeds.
 //
 // The early exit is sound only while size[u] upper-bounds every marginal
 // gain of u. That holds exactly for exact summaries (submodularity), but
 // an estimated coverage can report a first-round gain above its own size
-// estimate and the exit would then skip the true best candidate. Callers
-// with such a coverage pass noisy=true: every candidate's first-round
-// gain is evaluated once (in parallel), size[] is lifted to the observed
-// gains and re-sorted, making the bound consistent with the coverage's
-// own estimator. Later rounds can still, in principle, see an estimated
-// marginal gain above the lifted size — submodularity only bounds the
-// true gains — but that residue is second-order noise on an estimator
-// whose relative error is already ≈1/√β; the selection tolerance is
-// pinned by TestGreedyNoisyCoverageClampsEarlyExit.
+// estimate and the exit would then skip the true best candidate. Noisy
+// coverages therefore get a pre-pass in prepare: every candidate's
+// first-round gain is evaluated once (in parallel), size[] is lifted to
+// the observed gains and re-sorted, making the bound consistent with the
+// coverage's own estimator. Later rounds can still, in principle, see an
+// estimated marginal gain above the lifted size — submodularity only
+// bounds the true gains — but that residue is second-order noise on an
+// estimator whose relative error is already ≈1/√β; the selection
+// tolerance is pinned by TestGreedyNoisyCoverageClampsEarlyExit.
 //
 // The pre-pass is also where the parallelism lives: the first round is
 // the only one that evaluates a gain per candidate (later rounds are
 // pruned hard by the early exit), its evaluations are independent reads
 // against an empty union, and each lands in its own clamped[] slot, so
 // the result is bit-identical at every worker count.
-func greedyTopK(n, k int, size []float64, cov coverage, noisy bool) []graph.NodeID {
+func (g *GreedySeq) extend(k int) {
 	mx := m()
 	span := obs.NewSpan(sink(), "select/greedy")
 	gainEvals := int64(0)
-	workers := Parallelism()
-	order := make([]graph.NodeID, n)
-	for i := range order {
-		order[i] = graph.NodeID(i)
-	}
-	sort.SliceStable(order, func(i, j int) bool { return size[order[i]] > size[order[j]] })
-
-	if noisy && n > 0 {
-		clamped := make([]float64, n)
-		copy(clamped, size)
-		par.ForEach(workers, n, func(u int) {
-			if g := cov.gain(graph.NodeID(u)); g > clamped[u] {
-				clamped[u] = g
-			}
-		})
-		gainEvals += int64(n)
-		mx.greedyGainEvals.Add(int64(n))
-		size = clamped
-		sort.SliceStable(order, func(i, j int) bool { return size[order[i]] > size[order[j]] })
-	}
-
-	if k > n {
-		k = n
-	}
-	selected := make([]graph.NodeID, 0, k)
-	chosen := make([]bool, n)
-	for len(selected) < k {
+	for len(g.selected) < k {
 		best := graph.NodeID(-1)
 		bestGain := 0.0
-		for _, u := range order {
-			if chosen[u] {
+		for _, u := range g.order {
+			if g.chosen[u] {
 				continue
 			}
-			if bestGain >= size[u] {
+			if bestGain >= g.size[u] {
 				break
 			}
 			gainEvals++
 			mx.greedyGainEvals.Inc()
-			if g := cov.gain(u); g > bestGain {
-				bestGain = g
+			if gain := g.cov.gain(u); gain > bestGain {
+				bestGain = gain
 				best = u
 			}
 		}
 		if best < 0 {
-			// Residual coverage is exhausted; fill deterministically.
-			for _, u := range order {
-				if !chosen[u] {
+			// Residual coverage is exhausted; fill deterministically. k ≤ n,
+			// so an unselected node remains.
+			for _, u := range g.order {
+				if !g.chosen[u] {
 					best = u
 					break
 				}
 			}
-			if best < 0 {
-				break
-			}
 		}
-		chosen[best] = true
-		cov.add(best)
-		selected = append(selected, best)
+		g.chosen[best] = true
+		g.cov.add(best)
+		g.selected = append(g.selected, best)
 		mx.greedySeeds.Inc()
 		if span.Due() {
-			span.Progressf("%d/%d seeds, %s gain evaluations", len(selected), k, obs.Count(gainEvals))
+			span.Progressf("%d/%d seeds, %s gain evaluations", len(g.selected), k, obs.Count(gainEvals))
 		}
 	}
-	span.Endf("%d seeds, %s gain evaluations", len(selected), obs.Count(gainEvals))
-	return selected
+	span.Endf("%d seeds, %s gain evaluations", len(g.selected), obs.Count(gainEvals))
 }
 
 // TopKExact selects k seeds from exact summaries with Algorithm 4.
 func TopKExact(s *ExactSummaries, k int) []graph.NodeID {
-	n := s.NumNodes()
-	size := make([]float64, n)
-	for u := range size {
-		size[u] = float64(s.IRSSize(graph.NodeID(u)))
-	}
-	return greedyTopK(n, k, size, newExactCoverage(s), false)
+	return NewExactGreedy(s).TopK(k)
 }
 
-// TopKApprox selects k seeds from sketch summaries with Algorithm 4.
+// TopKApprox selects seeds from sketch summaries with Algorithm 4. The
+// collapse and the greedy rounds are shared across calls: each call
+// answers from one greedy sequence (see GreedySeq).
 func TopKApprox(s *ApproxSummaries) func(k int) []graph.NodeID {
-	// The collapse work is shared across calls with different k.
-	cov := newApproxCoverage(s)
-	n := s.NumNodes()
-	size := make([]float64, n)
-	par.ForEach(Parallelism(), n, func(u int) {
-		if cov.collapsed[u] != nil {
-			size[u] = cov.collapsed[u].Estimate()
-		}
-	})
-	return func(k int) []graph.NodeID {
-		fresh := &approxCoverage{
-			collapsed: cov.collapsed,
-			precision: cov.precision,
-			union:     hll.MustNew(cov.precision),
-		}
-		return greedyTopK(n, k, size, fresh, true)
-	}
+	return NewApproxOracle(s).Greedy().TopK
 }
 
 // TopKApproxSeeds is the common single-shot form of TopKApprox.
@@ -394,13 +428,6 @@ func TopKExactCELF(s *ExactSummaries, k int) []graph.NodeID {
 
 // TopKApproxCELF selects k seeds from sketch summaries with lazy greedy.
 func TopKApproxCELF(s *ApproxSummaries, k int) []graph.NodeID {
-	cov := newApproxCoverage(s)
-	n := s.NumNodes()
-	size := make([]float64, n)
-	par.ForEach(Parallelism(), n, func(u int) {
-		if cov.collapsed[u] != nil {
-			size[u] = cov.collapsed[u].Estimate()
-		}
-	})
-	return celfTopK(n, k, size, cov)
+	o := NewApproxOracle(s)
+	return celfTopK(o.NumNodes(), k, approxSizes(o.collapsed), newApproxCoverage(o.collapsed, o.precision))
 }

@@ -36,7 +36,8 @@ func (c *noisyCoverage) add(u graph.NodeID) { c.added = append(c.added, u) }
 func TestGreedyNoisyCoverageClampsEarlyExit(t *testing.T) {
 	size := []float64{10, 5, 1}
 	cov := &noisyCoverage{gain1: []float64{10, 5, 20}}
-	seeds := greedyTopK(3, 1, size, cov, true)
+	sizes := func() []float64 { return size }
+	seeds := newGreedySeq(3, sizes, cov, true).TopK(1)
 	if len(seeds) != 1 || seeds[0] != 2 {
 		t.Fatalf("noisy greedy selected %v, want [2]", seeds)
 	}
@@ -44,7 +45,7 @@ func TestGreedyNoisyCoverageClampsEarlyExit(t *testing.T) {
 	// unclamped scan picks the wrong node. This pins the failure mode so
 	// the test fails on the old behaviour.
 	cov = &noisyCoverage{gain1: []float64{10, 5, 20}}
-	seeds = greedyTopK(3, 1, size, cov, false)
+	seeds = newGreedySeq(3, sizes, cov, false).TopK(1)
 	if len(seeds) != 1 || seeds[0] != 0 {
 		t.Fatalf("unclamped greedy selected %v; the early-exit premise changed, revisit the clamp", seeds)
 	}

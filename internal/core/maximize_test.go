@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"ipin/internal/graph"
@@ -159,10 +161,39 @@ func TestTopKApproxReusableSelector(t *testing.T) {
 	if got := sel(1); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("sel(1) = %v", got)
 	}
-	// A second call with larger k starts fresh, not from leftover state.
+	// A second call with larger k extends the same greedy sequence; its
+	// answer is still the selection of two seeds.
 	if got := sel(2); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("sel(2) = %v", got)
 	}
+}
+
+// TestGreedySeqConcurrent: concurrent TopK calls on one shared sequence,
+// for every k in any order, each return the fresh selection of k seeds.
+// Run under -race.
+func TestGreedySeqConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	s, err := ComputeApprox(randomLog(rng, 80, 700), 40, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]graph.NodeID, 13)
+	for k := range want {
+		want[k] = TopKApproxSeeds(s, k)
+	}
+	seq := TopKApprox(s)
+	var wg sync.WaitGroup
+	for i := 0; i < 3*len(want); i++ {
+		k := len(want) - 1 - i%len(want)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := seq(k); !reflect.DeepEqual(got, want[k]) {
+				t.Errorf("k=%d: %v, want %v", k, got, want[k])
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestOracleInterfaces(t *testing.T) {

@@ -33,6 +33,24 @@ func BenchmarkMerge(b *testing.B) {
 	}
 }
 
+// BenchmarkUnionEstimate is the greedy gain kernel: the estimate of a
+// union without materializing it (compare BenchmarkMerge plus
+// BenchmarkEstimate).
+func BenchmarkUnionEstimate(b *testing.B) {
+	x, y := MustNew(9), MustNew(9)
+	for i := 0; i < 50000; i++ {
+		x.Add(uint64(i))
+		y.Add(uint64(i + 25000))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink, _ = x.UnionEstimate(y)
+	}
+}
+
+var sink float64
+
 func BenchmarkHash64(b *testing.B) {
 	var acc uint64
 	for i := 0; i < b.N; i++ {

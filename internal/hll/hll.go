@@ -149,7 +149,6 @@ var exp2neg = func() (t [256]float64) {
 // array (whose length must be a power of two). It is shared with the
 // versioned sketch, which materializes windowed register arrays.
 func EstimateRegisters(registers []uint8) float64 {
-	m := float64(len(registers))
 	var sum float64
 	zeros := 0
 	for _, r := range registers {
@@ -158,7 +157,36 @@ func EstimateRegisters(registers []uint8) float64 {
 			zeros++
 		}
 	}
-	raw := alpha(len(registers)) * m * m / sum
+	return estimate(len(registers), sum, zeros)
+}
+
+// UnionEstimate returns the Estimate of the union of s and other without
+// building it: the cell-wise maximum is taken on the fly and summed in
+// the same order, so the result is bit-identical to cloning s, merging
+// other, and estimating the clone. Both sketches must share the same
+// precision.
+func (s *Sketch) UnionEstimate(other *Sketch) (float64, error) {
+	if other.precision != s.precision {
+		return 0, fmt.Errorf("hll: cannot union precision %d with %d", other.precision, s.precision)
+	}
+	o := other.registers[:len(s.registers)]
+	var sum float64
+	zeros := 0
+	for i, r := range s.registers {
+		r = max(r, o[i])
+		sum += exp2neg[r]
+		if r == 0 {
+			zeros++
+		}
+	}
+	return estimate(len(s.registers), sum, zeros), nil
+}
+
+// estimate finishes the HyperLogLog estimator from the register count,
+// the sum of 2^−register, and the number of zero registers.
+func estimate(cells int, sum float64, zeros int) float64 {
+	m := float64(cells)
+	raw := alpha(cells) * m * m / sum
 	// Small-range correction: fall back to linear counting while any cell
 	// is still empty and the raw estimate is below the 5/2·m threshold.
 	if raw <= 2.5*m && zeros > 0 {

@@ -2,6 +2,7 @@ package hll
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -235,5 +236,38 @@ func TestRegistersMonotoneQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnionEstimateBitIdentical: the allocation-free union estimate is
+// bit for bit the Clone+Merge+Estimate result, across precisions, fill
+// levels from empty through the linear-counting handover to saturated,
+// and both argument orders.
+func TestUnionEstimateBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		p := MinPrecision + rng.Intn(MaxPrecision-MinPrecision-5)
+		a, b := MustNew(p), MustNew(p)
+		for _, s := range []*Sketch{a, b} {
+			n := rng.Intn(1 << uint(p+rng.Intn(4)))
+			for i := 0; i < n; i++ {
+				s.AddHash(rng.Uint64())
+			}
+		}
+		for _, pair := range [][2]*Sketch{{a, b}, {b, a}, {a, a}} {
+			x, y := pair[0], pair[1]
+			want := x.Clone()
+			_ = want.Merge(y)
+			got, err := x.UnionEstimate(y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want.Estimate()) {
+				t.Fatalf("trial %d (p=%d): UnionEstimate %v, Clone+Merge+Estimate %v", trial, p, got, want.Estimate())
+			}
+		}
+	}
+	if _, err := MustNew(5).UnionEstimate(MustNew(6)); err == nil {
+		t.Fatal("precision mismatch accepted")
 	}
 }

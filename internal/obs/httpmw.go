@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 )
 
@@ -30,38 +31,82 @@ func Middleware(reg *Registry, routes []string, next http.Handler) http.Handler 
 	if reg == nil {
 		return next
 	}
-	known := make(map[string]bool, len(routes))
+	series := make(map[string]*routeSeries, len(routes)+1)
 	for _, r := range routes {
-		known[r] = true
+		series[r] = newRouteSeries(r)
 	}
+	other := newRouteSeries("other")
 	inFlight := reg.Gauge(MetricHTTPInFlight, "Number of HTTP requests currently being served.")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		route := r.URL.Path
-		if !known[route] {
-			route = "other"
+		rs := series[r.URL.Path]
+		if rs == nil {
+			rs = other
 		}
 		inFlight.Inc()
 		defer inFlight.Dec()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
 		next.ServeHTTP(rec, r)
-		elapsed := time.Since(start).Seconds()
-		reg.Counter(
-			fmt.Sprintf(`%s{route=%q,code="%d"}`, MetricHTTPRequests, route, rec.code),
+		rs.observe(reg, rec.code, time.Since(start).Seconds())
+	})
+}
+
+// routeSeries caches one route's metric handles, so a request costs no
+// name formatting or registry lookup. Each handle is still registered
+// the first time a request needs it, so series appear in the exposition
+// exactly when they would with a lookup per request.
+type routeSeries struct {
+	route string
+	mu    sync.RWMutex
+	codes map[int]*Counter
+	errs  *Counter
+	dur   *Histogram
+}
+
+func newRouteSeries(route string) *routeSeries {
+	return &routeSeries{route: route, codes: make(map[int]*Counter)}
+}
+
+// observe records one served request.
+func (rs *routeSeries) observe(reg *Registry, code int, seconds float64) {
+	rs.mu.RLock()
+	req, errs, dur := rs.codes[code], rs.errs, rs.dur
+	rs.mu.RUnlock()
+	if req == nil || dur == nil || (code >= 400 && errs == nil) {
+		req, errs, dur = rs.register(reg, code)
+	}
+	req.Inc()
+	if code >= 400 {
+		errs.Inc()
+	}
+	dur.Observe(seconds)
+}
+
+// register creates the handles a request with this code needs, in the
+// order the per-request lookups created them.
+func (rs *routeSeries) register(reg *Registry, code int) (req, errs *Counter, dur *Histogram) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if rs.codes[code] == nil {
+		rs.codes[code] = reg.Counter(
+			fmt.Sprintf(`%s{route=%q,code="%d"}`, MetricHTTPRequests, rs.route, code),
 			"HTTP requests served, by route and status code.",
-		).Inc()
-		if rec.code >= 400 {
-			reg.Counter(
-				fmt.Sprintf(`%s{route=%q}`, MetricHTTPErrors, route),
-				"HTTP responses with a 4xx or 5xx status, by route.",
-			).Inc()
-		}
-		reg.Histogram(
-			fmt.Sprintf(`%s{route=%q}`, MetricHTTPDurations, route),
+		)
+	}
+	if code >= 400 && rs.errs == nil {
+		rs.errs = reg.Counter(
+			fmt.Sprintf(`%s{route=%q}`, MetricHTTPErrors, rs.route),
+			"HTTP responses with a 4xx or 5xx status, by route.",
+		)
+	}
+	if rs.dur == nil {
+		rs.dur = reg.Histogram(
+			fmt.Sprintf(`%s{route=%q}`, MetricHTTPDurations, rs.route),
 			"HTTP request latency in seconds, by route.",
 			nil,
-		).Observe(elapsed)
-	})
+		)
+	}
+	return rs.codes[code], rs.errs, rs.dur
 }
 
 // statusRecorder captures the status code written by the handler.

@@ -49,7 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -299,9 +299,9 @@ func (s *Server) influence(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	key := fmt.Sprintf("influence|%d|%d", snap.gen, u)
+	key := cacheKey("influence", snap.gen, nil, int64(u))
 	s.answer(w, r, key, func() (any, error) {
-		return map[string]any{"node": u, "influence": s.store.influence(u)}, nil
+		return influenceBody{Influence: s.store.influence(u), Node: u}, nil
 	})
 }
 
@@ -316,9 +316,9 @@ func (s *Server) spread(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	key := fmt.Sprintf("spread|%d|%s", snap.gen, seedKey(seeds))
+	key := cacheKey("spread", snap.gen, seeds)
 	s.answer(w, r, key, func() (any, error) {
-		return map[string]any{"seeds": seeds, "spread": s.store.spread(seeds)}, nil
+		return spreadBody{Seeds: seeds, Spread: s.store.spread(seeds)}, nil
 	})
 }
 
@@ -333,10 +333,10 @@ func (s *Server) topk(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badParam("bad k parameter"))
 		return
 	}
-	key := fmt.Sprintf("topk|%d|%d", snap.gen, k)
+	key := cacheKey("topk", snap.gen, nil, int64(k))
 	s.answer(w, r, key, func() (any, error) {
-		seeds := snap.topK(k)
-		return map[string]any{"seeds": seeds, "spread": s.store.spread(seeds)}, nil
+		seeds := snap.greedy.TopK(k)
+		return spreadBody{Seeds: seeds, Spread: s.store.spread(seeds)}, nil
 	})
 }
 
@@ -346,23 +346,20 @@ func (s *Server) spreadBy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errNoSnapshot)
 		return
 	}
-	seeds, err := parseSeeds(r.URL.Query().Get("seeds"), snap.numNodes)
+	q := r.URL.Query()
+	seeds, err := parseSeeds(q.Get("seeds"), snap.numNodes)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	deadline, err := strconv.ParseInt(r.URL.Query().Get("deadline"), 10, 64)
+	deadline, err := strconv.ParseInt(q.Get("deadline"), 10, 64)
 	if err != nil {
 		writeError(w, badParam("bad deadline parameter"))
 		return
 	}
-	key := fmt.Sprintf("spreadby|%d|%s|%d", snap.gen, seedKey(seeds), deadline)
+	key := cacheKey("spreadby", snap.gen, seeds, deadline)
 	s.answer(w, r, key, func() (any, error) {
-		return map[string]any{
-			"seeds":    seeds,
-			"deadline": deadline,
-			"spread":   snap.spreadBy(seeds, graph.Time(deadline)),
-		}, nil
+		return spreadByBody{Deadline: deadline, Seeds: seeds, Spread: snap.spreadBy(seeds, graph.Time(deadline))}, nil
 	})
 }
 
@@ -385,36 +382,32 @@ func (s *Server) spreadWindow(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errNoSnapshot)
 		return
 	}
-	seeds, err := parseSeeds(r.URL.Query().Get("seeds"), snap.numNodes)
+	q := r.URL.Query()
+	seeds, err := parseSeeds(q.Get("seeds"), snap.numNodes)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	at, err := strconv.ParseInt(r.URL.Query().Get("at"), 10, 64)
+	at, err := strconv.ParseInt(q.Get("at"), 10, 64)
 	if err != nil {
 		writeError(w, badParam("bad at parameter"))
 		return
 	}
 	horizon := snap.omega()
-	if raw := r.URL.Query().Get("horizon"); raw != "" {
+	if raw := q.Get("horizon"); raw != "" {
 		horizon, err = strconv.ParseInt(raw, 10, 64)
 		if err != nil || horizon < 1 {
 			writeError(w, badParam("bad horizon parameter"))
 			return
 		}
 	}
-	key := fmt.Sprintf("spreadwindow|%d|%s|%d|%d", snap.gen, seedKey(seeds), at, horizon)
+	key := cacheKey("spreadwindow", snap.gen, seeds, at, horizon)
 	s.answer(w, r, key, func() (any, error) {
 		spread, ok := snap.spreadWindow(seeds, at, horizon)
 		if !ok {
 			return nil, errWindowNeedsApprox
 		}
-		return map[string]any{
-			"seeds":   seeds,
-			"at":      at,
-			"horizon": horizon,
-			"spread":  spread,
-		}, nil
+		return spreadWindowBody{At: at, Horizon: horizon, Seeds: seeds, Spread: spread}, nil
 	})
 }
 
@@ -487,7 +480,7 @@ func parseSeeds(raw string, numNodes int) ([]graph.NodeID, error) {
 		}
 		seeds = append(seeds, id)
 	}
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
+	slices.Sort(seeds)
 	dedup := seeds[:1]
 	for _, u := range seeds[1:] {
 		if u != dedup[len(dedup)-1] {
@@ -497,17 +490,53 @@ func parseSeeds(raw string, numNodes int) ([]graph.NodeID, error) {
 	return dedup, nil
 }
 
-// seedKey renders a canonical seed set as a cache-key fragment.
-func seedKey(seeds []graph.NodeID) string {
-	var b strings.Builder
-	for i, u := range seeds {
-		if i > 0 {
-			b.WriteByte(',')
+// cacheKey renders a result-cache key: route, generation, the canonical
+// seed set when the route takes one, then the integer parameters, all
+// '|'-separated.
+func cacheKey(route string, gen uint64, seeds []graph.NodeID, params ...int64) string {
+	var buf [64]byte
+	b := append(buf[:0], route...)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, gen, 10)
+	if seeds != nil {
+		b = append(b, '|')
+		for i, u := range seeds {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(u), 10)
 		}
-		b.WriteString(strconv.Itoa(int(u)))
 	}
-	return b.String()
+	for _, p := range params {
+		b = append(b, '|')
+		b = strconv.AppendInt(b, p, 10)
+	}
+	return string(b)
 }
+
+// Response bodies. Field order is alphabetical, the order json.Marshal
+// gives map keys, so a body's bytes do not depend on how it is built.
+type (
+	influenceBody struct {
+		Influence float64      `json:"influence"`
+		Node      graph.NodeID `json:"node"`
+	}
+	spreadBody struct {
+		Seeds  []graph.NodeID `json:"seeds"`
+		Spread float64        `json:"spread"`
+	}
+	spreadByBody struct {
+		Deadline int64          `json:"deadline"`
+		Seeds    []graph.NodeID `json:"seeds"`
+		Spread   float64        `json:"spread"`
+	}
+	spreadWindowBody struct {
+		At      int64          `json:"at"`
+		Horizon int64          `json:"horizon"`
+		Seeds   []graph.NodeID `json:"seeds"`
+		Spread  float64        `json:"spread"`
+	}
+)
 
 // marshalBody renders a response value exactly as json.Encoder would
 // (trailing newline included), the byte shape both the cold and the

@@ -45,11 +45,14 @@ type shard struct {
 	phi       []map[graph.NodeID]graph.Time // exact kind
 }
 
-// snapshot is the immutable view of one loaded summary set.
+// snapshot is the immutable view of one loaded summary set. greedy is
+// the generation's one greedy seed sequence, which every /topk answers
+// from; it does its work on the first /topk.
 type snapshot struct {
 	gen      uint64 // even generation value current when this snapshot was installed
 	exact    *core.ExactSummaries
 	approx   *core.ApproxSummaries
+	greedy   *core.GreedySeq
 	numNodes int
 }
 
@@ -76,7 +79,7 @@ func (st *store) loadApprox(s *core.ApproxSummaries) {
 	for u := 0; u < n; u++ {
 		tables[u%st.nshards][u/st.nshards] = oracle.Collapsed(graph.NodeID(u))
 	}
-	st.swap(tables, nil, &snapshot{approx: s, numNodes: n})
+	st.swap(tables, nil, &snapshot{approx: s, greedy: oracle.Greedy(), numNodes: n})
 }
 
 // loadExact shards the exact summary maps and swaps them in.
@@ -89,7 +92,7 @@ func (st *store) loadExact(s *core.ExactSummaries) {
 	for u := 0; u < n; u++ {
 		tables[u%st.nshards][u/st.nshards] = s.Phi[u]
 	}
-	st.swap(nil, tables, &snapshot{exact: s, numNodes: n})
+	st.swap(nil, tables, &snapshot{exact: s, greedy: core.NewExactGreedy(s), numNodes: n})
 }
 
 // loadFile reads an IRX1 snapshot of either kind and installs it.
@@ -235,14 +238,6 @@ func (st *store) spread(seeds []graph.NodeID) float64 {
 		out = float64(len(set))
 	})
 	return out
-}
-
-// topK selects the top-k seeds on the snapshot's full summaries.
-func (s *snapshot) topK(k int) []graph.NodeID {
-	if s.approx != nil {
-		return core.TopKApproxSeeds(s.approx, k)
-	}
-	return core.TopKExact(s.exact, k)
 }
 
 // spreadBy answers the deadline-bounded spread on the full summaries.

@@ -10,33 +10,38 @@ import (
 	"sort"
 
 	"ipin/internal/graph"
-	"ipin/internal/vhll"
 )
 
 // Chunk sidecars: the durable form of sealed chunks, what makes recovery
 // cost proportional to the WAL suffix instead of the whole log. Every
-// time the compactor runs, it first persists each newly sealed chunk —
-// its edges AND its block-local reverse-scan sketches — as one sidecar
-// file, so a restart can rebuild the incremental state with
-// AppendSealedChunk instead of replaying and rescanning the full WAL.
-// Once a chunk batch is durable (files written, directory fsynced), the
-// WAL segments it covers are dead weight and DeleteCovered reclaims
-// them.
+// time the compactor runs, it first persists each newly sealed chunk's
+// edges as one sidecar file, so a restart rebuilds the incremental state
+// with AppendSealedChunk instead of replaying the full WAL. A chunk's
+// block-local sketches are a pure function of its edges, so they are not
+// stored: the first fold that needs a recovered chunk's sketches rescans
+// it (core runs those scans in parallel), and a restart whose fold cache
+// is seeded from checkpoint.irx rescans nothing at all. Once a chunk
+// batch is durable (files written, directory fsynced), the WAL segments
+// it covers are dead weight and DeleteCovered reclaims them.
 //
 // Layout (normative spec in DESIGN.md): one file per sealed chunk,
 // chunk-%08d.blk, numbered by chunk index from zero. A file starts with
-// the 8-byte header "ICHK0001" and holds exactly one record framed like
+// the 8-byte header "ICHK0002" and holds exactly one record framed like
 // a WAL record:
 //
 //	uint32 LE payload length | uint32 LE CRC-32C of payload | payload
 //
 // The payload is: uvarint chunk index (must match the file name),
-// uvarint omega, uvarint precision, uvarint node range at seal time,
-// uvarint edge-block length followed by the edges in WAL record
+// uvarint node range at seal time, then the edge block in WAL record
 // encoding (uvarint count, per edge uvarint src/dst, varint absolute
-// first timestamp then uvarint deltas), uvarint populated-sketch count,
-// then per populated node in ascending order: uvarint node id, uvarint
-// sketch length, and the sketch in vhll VHL1 encoding.
+// first timestamp then uvarint deltas) running to the end of the
+// payload.
+//
+// Files headed "ICHK0001" (written before sidecars went edge-only) still
+// load: their payload has uvarint omega and precision after the index,
+// a uvarint length before the edge block, and a sketch section after it.
+// The reader checks the CRC over all of it, keeps the index, node range
+// and edges, and skips the sketches.
 //
 // Crash safety: files are written tmp + fsync + rename, so a sidecar
 // that EXISTS under its final name is complete — any content damage is
@@ -46,8 +51,12 @@ import (
 // orphan past a gap; the WAL still covers those edges, because segments
 // are only deleted after the sidecar batch (and its dir fsync) landed.
 
-// chunkMagic is the sidecar header.
-var chunkMagic = [8]byte{'I', 'C', 'H', 'K', '0', '0', '0', '1'}
+// chunkMagic heads every sidecar written; chunkMagicV1 heads the legacy
+// files that also carried block-local sketches.
+const (
+	chunkMagic   = "ICHK0002"
+	chunkMagicV1 = "ICHK0001"
+)
 
 // chunkFilePattern matches sidecar files inside the state directory.
 const chunkFilePattern = "chunk-*.blk"
@@ -70,53 +79,28 @@ func chunkFileIndex(name string) (int, error) {
 
 // chunkData is one decoded sidecar.
 type chunkData struct {
-	index     int
-	omega     int64
-	precision int
-	numNodes  int
-	edges     []graph.Interaction
-	locals    []*vhll.Sketch
+	index    int
+	numNodes int
+	edges    []graph.Interaction
 }
 
-// encodeChunkPayload renders the sidecar payload for sealed chunk i.
-func encodeChunkPayload(i int, omega int64, precision int, edges []graph.Interaction, locals []*vhll.Sketch) ([]byte, error) {
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(buf []byte, v uint64) []byte {
-		n := binary.PutUvarint(tmp[:], v)
-		return append(buf, tmp[:n]...)
-	}
-	buf := make([]byte, 0, 16+9*len(edges))
-	buf = put(buf, uint64(i))
-	buf = put(buf, uint64(omega))
-	buf = put(buf, uint64(precision))
-	buf = put(buf, uint64(len(locals)))
-	eb := encodeRecord(edges)
-	buf = put(buf, uint64(len(eb)))
-	buf = append(buf, eb...)
-	populated := 0
-	for _, sk := range locals {
-		if sk != nil {
-			populated++
-		}
-	}
-	buf = put(buf, uint64(populated))
-	for u, sk := range locals {
-		if sk == nil {
-			continue
-		}
-		sb, err := sk.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("stream: chunk %d sketch %d: %w", i, u, err)
-		}
-		buf = put(buf, uint64(u))
-		buf = put(buf, uint64(len(sb)))
-		buf = append(buf, sb...)
-	}
-	return buf, nil
+// encodeChunkFile renders the complete sidecar file of sealed chunk i.
+func encodeChunkFile(i, numNodes int, edges []graph.Interaction) []byte {
+	hdr := len(chunkMagic) + walFrameBytes
+	buf := make([]byte, hdr, hdr+16+9*len(edges))
+	copy(buf, chunkMagic)
+	buf = binary.AppendUvarint(buf, uint64(i))
+	buf = binary.AppendUvarint(buf, uint64(numNodes))
+	buf = append(buf, encodeRecord(edges)...)
+	payload := buf[hdr:]
+	binary.LittleEndian.PutUint32(buf[len(chunkMagic):], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[len(chunkMagic)+4:], crc32.Checksum(payload, walCRC))
+	return buf
 }
 
-// decodeChunkPayload parses one sidecar payload.
-func decodeChunkPayload(payload []byte) (*chunkData, error) {
+// decodeChunkPayload parses one sidecar payload; legacy selects the
+// ICHK0001 layout.
+func decodeChunkPayload(payload []byte, legacy bool) (*chunkData, error) {
 	take := func(what string) (uint64, error) {
 		v, n := binary.Uvarint(payload)
 		if n <= 0 {
@@ -129,107 +113,95 @@ func decodeChunkPayload(payload []byte) (*chunkData, error) {
 	if err != nil {
 		return nil, err
 	}
-	omega, err := take("omega")
-	if err != nil {
-		return nil, err
-	}
-	prec, err := take("precision")
-	if err != nil {
-		return nil, err
+	if legacy {
+		// Omega and precision described the skipped sketches only.
+		if _, err := take("omega"); err != nil {
+			return nil, err
+		}
+		if _, err := take("precision"); err != nil {
+			return nil, err
+		}
 	}
 	nodes, err := take("node count")
 	if err != nil {
 		return nil, err
 	}
-	if idx > math.MaxInt32 || omega == 0 || omega > math.MaxInt64 || prec > 64 || nodes > math.MaxInt32 {
-		return nil, fmt.Errorf("implausible header (index %d, omega %d, precision %d, nodes %d)", idx, omega, prec, nodes)
+	if idx > math.MaxInt32 || nodes > math.MaxInt32 {
+		return nil, fmt.Errorf("implausible header (index %d, nodes %d)", idx, nodes)
 	}
-	elen, err := take("edge block length")
-	if err != nil {
-		return nil, err
-	}
-	if elen > uint64(len(payload)) {
-		return nil, fmt.Errorf("edge block length %d exceeds payload", elen)
+	block := payload
+	if legacy {
+		elen, err := take("edge block length")
+		if err != nil {
+			return nil, err
+		}
+		if elen > uint64(len(payload)) {
+			return nil, fmt.Errorf("edge block length %d exceeds payload", elen)
+		}
+		block = payload[:elen]
 	}
 	var edges []graph.Interaction
 	lastAt := int64(math.MinInt64)
-	if err := decodeRecord(payload[:elen], &edges, &lastAt); err != nil {
+	if err := decodeRecord(block, &edges, &lastAt); err != nil {
 		return nil, fmt.Errorf("edge block: %v", err)
 	}
 	if len(edges) == 0 {
 		return nil, fmt.Errorf("empty chunk")
 	}
-	payload = payload[elen:]
-	count, err := take("sketch count")
+	return &chunkData{index: int(idx), numNodes: int(nodes), edges: edges}, nil
+}
+
+// parseChunkFile validates a sidecar file's header, framing, and
+// checksum, decodes it, and checks that it holds chunk index want.
+func parseChunkFile(data []byte, want int) (*chunkData, error) {
+	if len(data) < len(chunkMagic)+walFrameBytes {
+		return nil, fmt.Errorf("short header")
+	}
+	magic, rest := string(data[:len(chunkMagic)]), data[len(chunkMagic):]
+	if magic != chunkMagic && magic != chunkMagicV1 {
+		return nil, fmt.Errorf("bad magic")
+	}
+	plen := int64(binary.LittleEndian.Uint32(rest))
+	sum := binary.LittleEndian.Uint32(rest[4:])
+	if plen > maxRecordBytes || int64(len(rest)) != walFrameBytes+plen {
+		return nil, fmt.Errorf("bad length %d for %d-byte file", plen, len(data))
+	}
+	payload := rest[walFrameBytes:]
+	if crc32.Checksum(payload, walCRC) != sum {
+		return nil, fmt.Errorf("checksum mismatch")
+	}
+	c, err := decodeChunkPayload(payload, magic == chunkMagicV1)
 	if err != nil {
 		return nil, err
 	}
-	if count > nodes {
-		return nil, fmt.Errorf("sketch count %d exceeds %d nodes", count, nodes)
+	if c.index != want {
+		return nil, fmt.Errorf("holds index %d", c.index)
 	}
-	locals := make([]*vhll.Sketch, nodes)
-	prev := -1
-	for s := uint64(0); s < count; s++ {
-		u, err := take("sketch node")
-		if err != nil {
-			return nil, err
-		}
-		if u >= nodes || int(u) <= prev {
-			return nil, fmt.Errorf("sketch node %d out of order or range", u)
-		}
-		slen, err := take("sketch length")
-		if err != nil {
-			return nil, err
-		}
-		if slen > uint64(len(payload)) {
-			return nil, fmt.Errorf("sketch %d length %d exceeds payload", u, slen)
-		}
-		var sk vhll.Sketch
-		if err := sk.UnmarshalBinary(payload[:slen]); err != nil {
-			return nil, fmt.Errorf("sketch %d: %v", u, err)
-		}
-		if sk.Precision() != int(prec) {
-			return nil, fmt.Errorf("sketch %d precision %d, header says %d", u, sk.Precision(), prec)
-		}
-		payload = payload[slen:]
-		locals[u] = &sk
-		prev = int(u)
-	}
-	if len(payload) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes", len(payload))
-	}
-	return &chunkData{
-		index:     int(idx),
-		omega:     int64(omega),
-		precision: int(prec),
-		numNodes:  int(nodes),
-		edges:     edges,
-		locals:    locals,
-	}, nil
+	return c, nil
 }
 
-// writeChunkFile persists sealed chunk i via tmp + fsync + rename. The
-// caller fsyncs the directory once per batch.
-func writeChunkFile(dir string, i int, omega int64, precision int, edges []graph.Interaction, locals []*vhll.Sketch, mx *metrics) error {
-	payload, err := encodeChunkPayload(i, omega, precision, edges, locals)
-	if err != nil {
+// writeChunkFile persists sealed chunk i. The caller fsyncs the
+// directory once per batch.
+func writeChunkFile(dir string, i, numNodes int, edges []graph.Interaction, mx *metrics) error {
+	data := encodeChunkFile(i, numNodes, edges)
+	if err := writeFileSynced(chunkFileName(dir, i), data); err != nil {
 		return err
 	}
-	buf := make([]byte, 0, len(chunkMagic)+walFrameBytes+len(payload))
-	buf = append(buf, chunkMagic[:]...)
-	var frame [walFrameBytes]byte
-	binary.LittleEndian.PutUint32(frame[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, walCRC))
-	buf = append(buf, frame[:]...)
-	buf = append(buf, payload...)
+	mx.chunkFiles.Inc()
+	mx.chunkFileBytes.Add(int64(len(data)))
+	return nil
+}
 
-	path := chunkFileName(dir, i)
+// writeFileSynced writes data to path via tmp + fsync + rename, so the
+// file under its final name is always complete. Making the rename
+// durable (a directory fsync) is left to the caller.
+func writeFileSynced(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -243,12 +215,7 @@ func writeChunkFile(dir string, i int, omega int64, precision int, edges []graph
 		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	mx.chunkFiles.Inc()
-	mx.chunkFileBytes.Add(int64(len(buf)))
-	return nil
+	return os.Rename(tmp, path)
 }
 
 // readChunkFile reads and validates one sidecar; the decoded index must
@@ -258,28 +225,9 @@ func readChunkFile(name string, want int) (*chunkData, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(chunkMagic)+walFrameBytes {
-		return nil, fmt.Errorf("stream: chunk file %s: short header", name)
-	}
-	if string(data[:len(chunkMagic)]) != string(chunkMagic[:]) {
-		return nil, fmt.Errorf("stream: chunk file %s: bad magic", name)
-	}
-	rest := data[len(chunkMagic):]
-	plen := int64(binary.LittleEndian.Uint32(rest))
-	sum := binary.LittleEndian.Uint32(rest[4:])
-	if plen > maxRecordBytes || int64(len(rest)) != walFrameBytes+plen {
-		return nil, fmt.Errorf("stream: chunk file %s: bad length %d for %d-byte file", name, plen, len(data))
-	}
-	payload := rest[walFrameBytes:]
-	if crc32.Checksum(payload, walCRC) != sum {
-		return nil, fmt.Errorf("stream: chunk file %s: checksum mismatch", name)
-	}
-	c, err := decodeChunkPayload(payload)
+	c, err := parseChunkFile(data, want)
 	if err != nil {
 		return nil, fmt.Errorf("stream: chunk file %s: %v", name, err)
-	}
-	if c.index != want {
-		return nil, fmt.Errorf("stream: chunk file %s holds index %d", name, c.index)
 	}
 	return c, nil
 }

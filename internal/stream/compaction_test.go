@@ -15,7 +15,6 @@ import (
 	"ipin/internal/core"
 	"ipin/internal/graph"
 	"ipin/internal/obs"
-	"ipin/internal/vhll"
 )
 
 // Regression tests for the incremental-checkpoint / WAL-compaction work:
@@ -195,51 +194,37 @@ func TestWALSegmentNumericOrder(t *testing.T) {
 	}
 }
 
-// TestChunkSidecarRoundTrip: the sidecar codec reproduces edges and
-// block-local sketches (nil pattern included) exactly, and the file
-// layer rejects an index/name mismatch and trailing garbage.
+// TestChunkSidecarRoundTrip: an ICHK0002 sidecar reproduces the chunk
+// index, node range, and edges exactly, and the file layer rejects
+// trailing garbage, a damaged byte, and an index/name mismatch.
 func TestChunkSidecarRoundTrip(t *testing.T) {
-	a := vhll.MustNew(4)
-	a.Add(11, 5)
-	a.Add(12, 9)
-	empty := vhll.MustNew(4) // populated-but-empty is legal and distinct from nil
-	locals := []*vhll.Sketch{nil, a, nil, empty}
 	edges := []graph.Interaction{{Src: 1, Dst: 3, At: 4}, {Src: 3, Dst: 0, At: 9}}
-
-	payload, err := encodeChunkPayload(7, 20, 4, edges, locals)
+	data := encodeChunkFile(7, 5, edges)
+	if string(data[:len(chunkMagic)]) != "ICHK0002" {
+		t.Fatalf("header %q", data[:len(chunkMagic)])
+	}
+	c, err := parseChunkFile(data, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := decodeChunkPayload(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.index != 7 || c.omega != 20 || c.precision != 4 || c.numNodes != 4 {
+	if c.index != 7 || c.numNodes != 5 {
 		t.Fatalf("header round-trip: %+v", c)
 	}
 	if len(c.edges) != 2 || c.edges[0] != edges[0] || c.edges[1] != edges[1] {
 		t.Fatalf("edges round-trip: %+v", c.edges)
 	}
-	for u, want := range locals {
-		got := c.locals[u]
-		if (got == nil) != (want == nil) {
-			t.Fatalf("node %d nil pattern lost", u)
-		}
-		if want == nil {
-			continue
-		}
-		wb, _ := want.MarshalBinary()
-		gb, _ := got.MarshalBinary()
-		if !bytes.Equal(wb, gb) {
-			t.Fatalf("node %d sketch differs after round-trip", u)
-		}
-	}
-	if _, err := decodeChunkPayload(append(append([]byte(nil), payload...), 0)); err == nil {
+	payload := data[len(chunkMagic)+walFrameBytes:]
+	if _, err := decodeChunkPayload(append(append([]byte(nil), payload...), 0), false); err == nil {
 		t.Fatal("trailing byte accepted")
+	}
+	damaged := append([]byte(nil), data...)
+	damaged[len(damaged)-1] ^= 1
+	if _, err := parseChunkFile(damaged, 7); err == nil {
+		t.Fatal("damaged payload accepted")
 	}
 
 	dir := t.TempDir()
-	if err := writeChunkFile(dir, 7, 20, 4, edges, locals, &metrics{}); err != nil {
+	if err := writeChunkFile(dir, 7, 5, edges, &metrics{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := readChunkFile(chunkFileName(dir, 7), 7); err != nil {
@@ -253,7 +238,9 @@ func TestChunkSidecarRoundTrip(t *testing.T) {
 // TestRecoveryFromSidecars: after a clean shutdown every sealed chunk is
 // durable as a sidecar, so recovery rebuilds the whole state from
 // sidecars with zero WAL replay, serves the identical bytes, and keeps
-// ingesting correctly on top of the recovered (cache-seeded) state.
+// ingesting correctly on top of the recovered (cache-seeded) state —
+// without rescanning a single recovered chunk, because the seeded cache
+// covers them and the incremental folds after it read only their edges.
 func TestRecoveryFromSidecars(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	edges := testLog(rng, 30, 500)
@@ -276,6 +263,9 @@ func TestRecoveryFromSidecars(t *testing.T) {
 	if !bytes.Equal(summaryBytes(t, published), offlineBytes(t, edges, 0, 30, 4)) {
 		t.Fatal("sidecar recovery differs from offline scan")
 	}
+	if n := in.inc.Rescans(); n != 0 {
+		t.Fatalf("seeded restart rescanned %d chunks", n)
+	}
 	// Resume streaming on the recovered state: the fold cache seeded from
 	// the checkpoint must compose with fresh chunks.
 	more := testLog(rng, 30, 200)
@@ -296,6 +286,9 @@ func TestRecoveryFromSidecars(t *testing.T) {
 	full := append(append([]graph.Interaction(nil), edges...), more...)
 	if !bytes.Equal(summaryBytes(t, published), offlineBytes(t, full, 0, 30, 4)) {
 		t.Fatal("resumed stream differs from offline scan over the full log")
+	}
+	if n := in.inc.Rescans(); n != 0 {
+		t.Fatalf("folds after a seeded restart rescanned %d chunks", n)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"ipin/internal/core"
 	"ipin/internal/graph"
 	"ipin/internal/obs"
-	"ipin/internal/vhll"
 )
 
 // Retention tests: with Config.Retain set, sketch memory and sidecar disk
@@ -73,6 +72,32 @@ func runRetained(t *testing.T, dir string, reg *obs.Registry) ([]graph.Interacti
 		t.Fatal(err)
 	}
 	return edges, published
+}
+
+// diskWithoutRetention streams the workload's two checkpointed phases
+// with Retain = 0 and returns the Health "disk" map after the second.
+func diskWithoutRetention(t *testing.T, edges []graph.Interaction) map[string]any {
+	t.Helper()
+	cfg := retainedConfig(nil)
+	cfg.Dir, cfg.Retain = t.TempDir(), 0
+	in, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	defer in.Close(ctx)
+	for _, half := range [][]graph.Interaction{edges[:100], edges[100:]} {
+		for _, e := range half {
+			if err := in.Push(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := in.Checkpoint(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return diskOf(t, in)
 }
 
 // diskOf unpacks the Health "disk" sub-map.
@@ -155,8 +180,15 @@ func TestRetentionBoundsDiskAndAccounting(t *testing.T) {
 	if got := disk2["chunk_bytes"].(int64); got != written-retiredBytes {
 		t.Fatalf("disk chunk_bytes = %d, want written %d − retired %d = %d", got, written, retiredBytes, written-retiredBytes)
 	}
-	if d1, d2 := disk1["total_bytes"].(int64), disk2["total_bytes"].(int64); d2 >= d1+retiredBytes {
-		t.Fatalf("total_bytes did not drop by the retired sidecars: %d → %d with %d retired", d1, d2, retiredBytes)
+	// Control: the same stream without retention. Retirement is the only
+	// difference, so it holds exactly the retained run's sidecar bytes
+	// plus the reclaimed ones, and more bytes on disk in total.
+	ctl := diskWithoutRetention(t, edges)
+	if got, want := ctl["chunk_bytes"].(int64), disk2["chunk_bytes"].(int64)+retiredBytes; got != want {
+		t.Fatalf("Retain=0 control holds %d sidecar bytes, want retained %d + reclaimed %d", got, disk2["chunk_bytes"], retiredBytes)
+	}
+	if c, d := ctl["total_bytes"].(int64), disk2["total_bytes"].(int64); c <= d {
+		t.Fatalf("total_bytes %d with retention, %d without: retirement reclaimed nothing", d, c)
 	}
 	if v := snap[MetricSketchBytes].(int64); v <= 0 {
 		t.Fatalf("%s = %d, want > 0", MetricSketchBytes, v)
@@ -274,8 +306,7 @@ func TestRecoveryHealsRetirementLeftover(t *testing.T) {
 	edges, _ := runRetained(t, dir, nil)
 	// Resurrect a below-floor sidecar: the state a crash mid-deletion
 	// leaves when chunk 3's unlink never happened.
-	locals := make([]*vhll.Sketch, 16)
-	if err := writeChunkFile(dir, 3, 25, 4, edges[75:100], locals, &metrics{}); err != nil {
+	if err := writeChunkFile(dir, 3, 16, edges[75:100], &metrics{}); err != nil {
 		t.Fatal(err)
 	}
 

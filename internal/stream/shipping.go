@@ -314,54 +314,14 @@ func WriteShippedMeta(dir string, metaJSON []byte) error {
 
 // WriteShippedChunk installs a raw chunk sidecar file shipped by a
 // primary, validating framing, checksum, and index before anything
-// touches the directory. tmp + fsync + rename, matching writeChunkFile's
-// contract that a sidecar present under its final name is complete.
+// touches the directory, and writing it like writeChunkFile: a sidecar
+// present under its final name is complete.
 func WriteShippedChunk(dir string, index int, data []byte) error {
-	if len(data) < len(chunkMagic)+walFrameBytes {
-		return fmt.Errorf("stream: shipped chunk %d: short file", index)
-	}
-	if string(data[:len(chunkMagic)]) != string(chunkMagic[:]) {
-		return fmt.Errorf("stream: shipped chunk %d: bad magic", index)
-	}
-	rest := data[len(chunkMagic):]
-	plen := int64(binary.LittleEndian.Uint32(rest))
-	sum := binary.LittleEndian.Uint32(rest[4:])
-	if plen > maxRecordBytes || int64(len(rest)) != walFrameBytes+plen {
-		return fmt.Errorf("stream: shipped chunk %d: bad length", index)
-	}
-	payload := rest[walFrameBytes:]
-	if crc32.Checksum(payload, walCRC) != sum {
-		return fmt.Errorf("stream: shipped chunk %d: checksum mismatch", index)
-	}
-	c, err := decodeChunkPayload(payload)
-	if err != nil {
+	if _, err := parseChunkFile(data, index); err != nil {
 		return fmt.Errorf("stream: shipped chunk %d: %v", index, err)
-	}
-	if c.index != index {
-		return fmt.Errorf("stream: shipped chunk file holds index %d, want %d", c.index, index)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	path := chunkFileName(dir, index)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return writeFileSynced(chunkFileName(dir, index), data)
 }

@@ -18,16 +18,18 @@
 // layer's generation-counted swap is the only handoff point.
 //
 // Durability is two-tier. Chunk sidecars (chunkfile.go) persist each
-// sealed chunk's edges and block-local sketches the next time the
-// compactor runs, so recovery loads the sidecar prefix with
-// AppendSealedChunk — no rescan — and replays only the WAL suffix past
-// it (truncating a torn tail in the final segment only). WAL segments
-// entirely covered by durable sidecars are deleted, bounding the log.
-// The fold cache seeded from checkpoint.irx makes the first
-// post-recovery checkpoint incremental too. Chunk boundaries do not
-// affect fold output, so the recovered summaries are byte-identical to
-// those of an uninterrupted run over the same emitted prefix — the
-// property the crash tests in recovery_test.go pin.
+// sealed chunk's edges the next time the compactor runs, so recovery
+// loads the sidecar prefix with AppendSealedChunk and replays only the
+// WAL suffix past it (truncating a torn tail in the final segment
+// only). WAL segments entirely covered by durable sidecars are deleted,
+// bounding the log. A recovered chunk's block-local sketches are
+// rescanned from its edges only when a fold first needs them: the fold
+// cache seeded from checkpoint.irx makes the first post-recovery
+// checkpoint incremental, and an incremental fold reads only the old
+// chunks' edges, so a clean restart rescans no chunk at all. Chunk
+// boundaries do not affect fold output, so the recovered summaries are
+// byte-identical to those of an uninterrupted run over the same emitted
+// prefix — the property the crash tests in recovery_test.go pin.
 package stream
 
 import (
@@ -46,7 +48,6 @@ import (
 	"ipin/internal/obs"
 	"ipin/internal/swhll"
 	"ipin/internal/trace"
-	"ipin/internal/vhll"
 )
 
 // Config parameterizes an Ingester. Dir and Omega are required; every
@@ -149,8 +150,8 @@ type Stats struct {
 	CoveredEdges int64 // edges covered by the last published checkpoint
 
 	// RecoveredChunkEdges and RecoveredWALEdges split the startup
-	// recovery by source: edges rebuilt from durable chunk sidecars
-	// (no rescan) versus edges replayed from the WAL suffix. Their sum
+	// recovery by source: edges loaded from durable chunk sidecars
+	// versus edges replayed from the WAL suffix. Their sum
 	// is the recovered prefix; a well-compacted directory recovers
 	// almost everything from sidecars.
 	RecoveredChunkEdges int64
@@ -361,8 +362,9 @@ func New(cfg Config) (*Ingester, error) {
 			return nil, fmt.Errorf("stream: resume after retirement: %w", err)
 		}
 	}
-	// Tier 1: durable chunk sidecars. Each carries a sealed chunk's edges
-	// and block-local sketches, so the state rebuilds without a rescan.
+	// Tier 1: durable chunk sidecars. Each carries a sealed chunk's edges;
+	// the chunk's block-local sketches are rescanned only if a fold needs
+	// them, which a fold cache seeded from the checkpoint below avoids.
 	sidecars, err := loadChunks(cfg.Dir, floor)
 	if err != nil {
 		return nil, err
@@ -370,27 +372,13 @@ func New(cfg Config) (*Ingester, error) {
 	chunkLastAt := int64(math.MinInt64)
 	var chunkEdges int64
 	for _, c := range sidecars {
-		if c.omega != cfg.Omega || c.precision != cfg.Precision {
-			// The sidecar was written under a different configuration; its
-			// cached sketches are useless, but its edges are not — rescan.
-			if err := in.seal(c.edges); err != nil {
-				return nil, fmt.Errorf("stream: chunk sidecar %d replay: %w", c.index, err)
-			}
-		} else {
-			locals, nodes := c.locals, c.numNodes
-			if n := inc.NumNodes(); n > nodes {
-				// The configured node range outgrew the sidecar's; pad with
-				// nils, exactly what a rescan would produce for idle nodes.
-				padded := make([]*vhll.Sketch, n)
-				copy(padded, locals)
-				locals, nodes = padded, n
-			}
-			if err := inc.AppendSealedChunk(c.edges, locals, nodes); err != nil {
-				return nil, fmt.Errorf("stream: chunk sidecar %d: %w", c.index, err)
-			}
-			mx.chunks.Inc()
-			in.sinceCkpt += len(c.edges)
+		// The configured node range may have outgrown the sidecar's; a
+		// chunk's node range never shrinks the builder's.
+		if err := inc.AppendSealedChunk(c.edges, max(c.numNodes, inc.NumNodes())); err != nil {
+			return nil, fmt.Errorf("stream: chunk sidecar %d: %w", c.index, err)
 		}
+		mx.chunks.Inc()
+		in.sinceCkpt += len(c.edges)
 		chunkEdges += int64(len(c.edges))
 		chunkLastAt = int64(c.edges[len(c.edges)-1].At)
 	}
@@ -567,9 +555,6 @@ func (in *Ingester) seedFoldCache(meta *ckptMeta, sidecars []*chunkData) {
 	}
 	var edges int64
 	for _, c := range sidecars[:meta.Chunks-meta.FirstChunk] {
-		if c.omega != in.cfg.Omega || c.precision != in.cfg.Precision {
-			return // those chunks were resealed with fresh boundaries-by-rescan
-		}
 		edges += int64(len(c.edges))
 	}
 	if edges != meta.Edges-int64(meta.RetiredEdges) {
@@ -1142,8 +1127,8 @@ func (in *Ingester) persistChunks(view core.ChunkView) error {
 	start := time.Now()
 	wrote := n - in.durableChunks
 	for c := in.durableChunks; c < n; c++ {
-		edges, locals := view.Chunk(c)
-		if err := writeChunkFile(in.cfg.Dir, c, in.cfg.Omega, in.cfg.Precision, edges, locals, in.mx); err != nil {
+		edges, numNodes := view.ChunkEdges(c)
+		if err := writeChunkFile(in.cfg.Dir, c, numNodes, edges, in.mx); err != nil {
 			return fmt.Errorf("stream: chunk sidecar %d: %w", c, err)
 		}
 	}
