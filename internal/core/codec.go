@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -115,24 +114,33 @@ func ReadExactSummaries(r io.Reader) (*ExactSummaries, error) {
 	return s, nil
 }
 
-// WriteTo serializes approximate summaries.
+// nilSketch is the payload of an absent sketch: a zero length.
+var nilSketch = []byte{0}
+
+// WriteTo serializes approximate summaries. Every sketch is encoded into
+// one payload buffer, sized up front for the largest sketch, so the
+// writer's allocations do not grow with the node count.
 func (s *ApproxSummaries) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: bufio.NewWriter(w)}
 	if err := writeHeader(cw, kindApprox, s.Omega, len(s.Sketches)); err != nil {
 		return cw.n, err
 	}
+	bound := 0
+	for _, sk := range s.Sketches {
+		if sk != nil {
+			bound = max(bound, sk.EncodedLenBound())
+		}
+	}
+	payload := make([]byte, 0, bound)
 	var tmp [binary.MaxVarintLen64]byte
-	for u, sk := range s.Sketches {
+	for _, sk := range s.Sketches {
 		if sk == nil {
-			if _, err := cw.Write([]byte{0}); err != nil {
+			if _, err := cw.Write(nilSketch); err != nil {
 				return cw.n, err
 			}
 			continue
 		}
-		payload, err := sk.MarshalBinary()
-		if err != nil {
-			return cw.n, fmt.Errorf("core: sketch %d: %v", u, err)
-		}
+		payload = sk.AppendBinary(payload[:0])
 		n := binary.PutUvarint(tmp[:], uint64(len(payload)))
 		if _, err := cw.Write(tmp[:n]); err != nil {
 			return cw.n, err
@@ -152,9 +160,11 @@ func ReadApproxSummaries(r io.Reader) (*ApproxSummaries, error) {
 		return nil, err
 	}
 	// Same lazy-growth discipline as the exact reader: neither the node
-	// table nor a sketch payload is allocated beyond what the input
-	// actually delivers.
+	// table nor the payload buffer is allocated beyond what the input
+	// actually delivers. One payload buffer serves every sketch: the
+	// decoder copies what it keeps.
 	s := &ApproxSummaries{Omega: omega, Sketches: make([]*vhll.Sketch, 0, allocHint(numNodes))}
+	var payload []byte
 	for u := 0; u < numNodes; u++ {
 		size, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -167,13 +177,9 @@ func ReadApproxSummaries(r io.Reader) (*ApproxSummaries, error) {
 		if size > 1<<30 {
 			return nil, fmt.Errorf("core: sketch %d size %d implausible", u, size)
 		}
-		// CopyN grows the buffer only as bytes arrive, so a huge declared
-		// size over a short input fails without the up-front allocation.
-		var pbuf bytes.Buffer
-		if _, err := io.CopyN(&pbuf, br, int64(size)); err != nil {
+		if payload, err = readPayload(br, payload, int(size)); err != nil {
 			return nil, fmt.Errorf("core: sketch %d payload: %v", u, err)
 		}
-		payload := pbuf.Bytes()
 		sk := &vhll.Sketch{}
 		if err := sk.UnmarshalBinary(payload); err != nil {
 			return nil, fmt.Errorf("core: sketch %d: %v", u, err)
@@ -190,6 +196,28 @@ func ReadApproxSummaries(r io.Reader) (*ApproxSummaries, error) {
 		s.Precision = DefaultPrecision
 	}
 	return s, nil
+}
+
+// readPayload reads exactly n bytes from r into buf's storage and returns
+// them. buf grows only as bytes arrive — to at most twice what has been
+// read — so a huge declared size over a short input fails without the
+// up-front allocation.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // ReadSummaries reads an IRX1 stream of either kind, dispatching on the

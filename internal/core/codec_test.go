@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"ipin/internal/graph"
+	"ipin/internal/vhll"
 )
 
 func TestExactRoundTrip(t *testing.T) {
@@ -143,5 +145,76 @@ func TestCodecRejectsCorruptedEntry(t *testing.T) {
 		corrupted := append([]byte(nil), data...)
 		corrupted[i] ^= 0xff
 		_, _ = ReadExactSummaries(bytes.NewReader(corrupted))
+	}
+}
+
+// backfillSummaries returns the summaries of a uniform log shaped like
+// the backfill benchmark's: five interactions per node over distinct
+// ticks, ω one percent of the span.
+func backfillSummaries(t *testing.T, nodes int) *ApproxSummaries {
+	t.Helper()
+	edges := 5 * nodes
+	l := randomLog(rand.New(rand.NewSource(int64(nodes))), nodes, edges)
+	sum, err := ComputeApprox(l, int64(edges/100), DefaultPrecision)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
+}
+
+// TestCodecAllocs pins the IRX1 approx codec's allocation contract (no
+// race instrumentation): WriteTo allocates the same at 2k and at 20k
+// nodes — one payload buffer for every sketch, none per node — and
+// ReadApproxSummaries allocates at most five times per non-nil sketch,
+// the sketch's own storage, beyond what an all-nil table of the same
+// size costs.
+func TestCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	var writes []float64
+	for _, nodes := range []int{2000, 20000} {
+		sum := backfillSummaries(t, nodes)
+		writes = append(writes, testing.AllocsPerRun(5, func() {
+			if _, err := sum.WriteTo(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}))
+
+		var buf bytes.Buffer
+		if _, err := sum.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		empty := &ApproxSummaries{Omega: sum.Omega, Precision: sum.Precision, Sketches: make([]*vhll.Sketch, len(sum.Sketches))}
+		var emptyBuf bytes.Buffer
+		if _, err := empty.WriteTo(&emptyBuf); err != nil {
+			t.Fatal(err)
+		}
+		read := func(data []byte) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := ReadApproxSummaries(bytes.NewReader(data)); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		nonNil := 0
+		for _, sk := range sum.Sketches {
+			if sk != nil {
+				nonNil++
+			}
+		}
+		// The reused payload buffer doubles up to the largest payload: a
+		// constant handful of allocations, not one per sketch.
+		const payloadGrowth = 16
+		extra := read(buf.Bytes()) - read(emptyBuf.Bytes())
+		t.Logf("%d nodes: WriteTo %.0f allocs; ReadApproxSummaries %.0f allocs over an all-nil table for %d non-nil sketches",
+			nodes, writes[len(writes)-1], extra, nonNil)
+		if extra > float64(5*nonNil+payloadGrowth) {
+			t.Errorf("%d nodes: ReadApproxSummaries makes %.0f allocations for %d non-nil sketches, want <= 5 per sketch + %d",
+				nodes, extra, nonNil, payloadGrowth)
+		}
+	}
+	if writes[0] != writes[1] {
+		t.Errorf("WriteTo allocates %.0f times at 2k nodes but %.0f at 20k: allocations grow with the node count", writes[0], writes[1])
 	}
 }

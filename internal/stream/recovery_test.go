@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -299,5 +300,168 @@ func TestRecoveryCorruptCRC(t *testing.T) {
 	}
 	if len(got) != 5 {
 		t.Fatalf("recovered %d edges, want the 5 before the flip", len(got))
+	}
+}
+
+// TestCleanRestartKeepsCheckpoint: a restart whose recovery fold returns
+// the seeded checkpoint unchanged publishes it without rewriting
+// checkpoint.irx (same inode, same metadata bytes) and still advances the
+// covered-edge clock; a restart that changes what the checkpoint covers
+// — a replayed WAL suffix, a grown node range, an advanced epoch, a base
+// moved by retirement — rewrites it. Every case publishes, and leaves on
+// disk, the bytes of the offline scan over what it claims.
+func TestCleanRestartKeepsCheckpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	edges := testLog(rng, 30, 600)
+	base := Config{Omega: 20, Precision: 4, ChunkEdges: 50, CheckpointEvery: -1, SegmentBytes: 1 << 20}
+	// restart is what a prepared directory is reopened with, and what the
+	// recovery checkpoint must then cover: the offline scan of covered
+	// over numNodes, with the emit clock at emitted.
+	type restart struct {
+		cfg      Config
+		covered  []graph.Interaction
+		numNodes int
+		emitted  int
+	}
+	cases := []struct {
+		name    string
+		prepare func(t *testing.T, dir string) restart
+		rewrite bool
+	}{
+		{"clean", func(t *testing.T, dir string) restart {
+			ingestAll(t, dir, edges, base)
+			return restart{base, edges, 0, len(edges)}
+		}, false},
+		{"wal-suffix", func(t *testing.T, dir string) restart {
+			// Checkpoint the first half, stream the rest, then put the
+			// first checkpoint and its sidecars back: the WAL (one active
+			// segment, never compacted away) holds the suffix.
+			cfg := base
+			cfg.Dir = dir
+			in, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			half := len(edges) / 2
+			for _, e := range edges[:half] {
+				if err := in.Push(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := in.Checkpoint(ctx); err != nil {
+				t.Fatal(err)
+			}
+			saved := map[string][]byte{}
+			for _, name := range []string{CheckpointName, CheckpointMetaName} {
+				raw, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				saved[name] = raw
+			}
+			kept, err := filepath.Glob(filepath.Join(dir, chunkFilePattern))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range edges[half:] {
+				if err := in.Push(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := in.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			all, err := filepath.Glob(filepath.Join(dir, chunkFilePattern))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range all {
+				if !slices.Contains(kept, name) {
+					if err := os.Remove(name); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for name, raw := range saved {
+				if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return restart{base, edges, 0, len(edges)}
+		}, true},
+		{"grown-nodes", func(t *testing.T, dir string) restart {
+			ingestAll(t, dir, edges, base)
+			cfg := base
+			cfg.NumNodes = 40
+			return restart{cfg, edges, 40, len(edges)}
+		}, true},
+		{"advanced-epoch", func(t *testing.T, dir string) restart {
+			ingestAll(t, dir, edges, base)
+			cfg := base
+			cfg.Epoch = 1
+			return restart{cfg, edges, 0, len(edges)}
+		}, true},
+		{"retired-base", func(t *testing.T, dir string) restart {
+			// runRetained's restart retires chunks 4 and 5 (see
+			// TestRecoveryWithRetiredPrefix).
+			retained, _ := runRetained(t, dir, nil)
+			return restart{retainedConfig(nil), retained[150:], 16, len(retained)}
+		}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r := c.prepare(t, dir)
+			ckptPath, metaPath := filepath.Join(dir, CheckpointName), filepath.Join(dir, CheckpointMetaName)
+			before, err := os.Stat(ckptPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			metaBefore, err := os.ReadFile(metaPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recovered, in := recoverPublished(t, dir, r.cfg)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			defer in.Close(ctx)
+			if recovered == nil {
+				t.Fatal("no recovery checkpoint published")
+			}
+			st := in.Stats()
+			if c.name == "wal-suffix" && st.RecoveredWALEdges == 0 {
+				t.Fatal("restart replayed no WAL suffix")
+			}
+			if st.CoveredEdges != int64(r.emitted) {
+				t.Fatalf("covered-edge clock at %d after recovery, want %d", st.CoveredEdges, r.emitted)
+			}
+			after, err := os.Stat(ckptPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			metaAfter, err := os.ReadFile(metaPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rewritten := !os.SameFile(before, after); rewritten != c.rewrite {
+				t.Fatalf("checkpoint rewritten = %v, want %v", rewritten, c.rewrite)
+			}
+			if !c.rewrite && !bytes.Equal(metaBefore, metaAfter) {
+				t.Fatal("checkpoint metadata rewritten on a clean restart")
+			}
+			want := offlineBytes(t, r.covered, r.numNodes, r.cfg.Omega, r.cfg.Precision)
+			if !bytes.Equal(summaryBytes(t, recovered), want) {
+				t.Fatal("published recovery state differs from the offline scan")
+			}
+			ckpt, err := os.ReadFile(ckptPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ckpt, want) {
+				t.Fatal("checkpoint.irx differs from the offline scan")
+			}
+		})
 	}
 }

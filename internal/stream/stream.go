@@ -48,6 +48,7 @@ import (
 	"ipin/internal/obs"
 	"ipin/internal/swhll"
 	"ipin/internal/trace"
+	"ipin/internal/vhll"
 )
 
 // Config parameterizes an Ingester. Dir and Omega are required; every
@@ -219,6 +220,9 @@ type Ingester struct {
 	// Owned by the compactor goroutine (initialized before it starts).
 	durableChunks int // sealed chunks already persisted as sidecars
 	retiredFloor  int // lowest chunk sidecar index still on disk
+	// seeded is the on-disk checkpoint recovery seeded the fold cache
+	// from, until the first checkpoint consumes it (nil when none was).
+	seeded *seededCheckpoint
 
 	// folds carries snapshots to the compactor goroutine; foldsPending
 	// counts submitted-but-unfinished jobs so triggers can skip without
@@ -256,6 +260,28 @@ type foldJob struct {
 	hot   []swhll.TopEntry
 	cause string
 	done  chan error
+}
+
+// seededCheckpoint is the checkpoint.irx recovery seeded the fold cache
+// with: the decoded sketch slice, adopted by the cache as is, and the
+// metadata that proved it covers the retained sidecar prefix.
+type seededCheckpoint struct {
+	sketches []*vhll.Sketch
+	meta     ckptMeta
+}
+
+// unchanged reports whether sum, folded from view under epoch, is the
+// seeded checkpoint itself: the fold handed back the seeded slice whole
+// (so no chunk was folded in and no node added), and the view's coverage
+// and the fencing epoch equal what the checkpoint metadata records. The
+// file and metadata on disk are then exactly what writeCheckpoint would
+// write, apart from the timings in the metadata.
+func (c *seededCheckpoint) unchanged(sum *core.ApproxSummaries, view core.ChunkView, epoch uint64) bool {
+	return c != nil && len(c.sketches) > 0 && len(sum.Sketches) == len(c.sketches) &&
+		&sum.Sketches[0] == &c.sketches[0] && view.NumNodes() == c.meta.Nodes &&
+		int64(view.EdgeCount()) == c.meta.Edges && int64(view.LastAt()) == c.meta.LastAt &&
+		view.NumChunks() == c.meta.Chunks && view.FirstChunk() == c.meta.FirstChunk &&
+		view.RetiredEdges() == c.meta.RetiredEdges && epoch == c.meta.Epoch
 }
 
 // advanceReq asks the run loop to advance the WAL fencing epoch — the
@@ -511,6 +537,7 @@ func New(cfg Config) (*Ingester, error) {
 type ckptMeta struct {
 	Edges        int64  `json:"edges"`
 	LastAt       int64  `json:"last_at"`
+	Nodes        int    `json:"nodes"`
 	Chunks       int    `json:"chunks"`
 	FirstChunk   int    `json:"first_chunk"`
 	RetiredEdges int    `json:"retired_edges"`
@@ -572,7 +599,9 @@ func (in *Ingester) seedFoldCache(meta *ckptMeta, sidecars []*chunkData) {
 	// SeedFoldCache re-validates omega/precision/ranges; an all-empty
 	// checkpoint decodes with the default precision and is rejected
 	// there, which only costs the first fold its shortcut.
-	_ = in.inc.SeedFoldCache(sum, meta.Chunks)
+	if in.inc.SeedFoldCache(sum, meta.Chunks) == nil {
+		in.seeded = &seededCheckpoint{sketches: sum.Sketches, meta: *meta}
+	}
 }
 
 // retire applies the retention horizon to the sketch state: chunks whose
@@ -1075,8 +1104,14 @@ func (in *Ingester) checkpoint(job foldJob) error {
 	sum := view.Fold()
 	foldDur := time.Since(foldStart)
 	in.tr.StampThrough(trace.StageFold, covered)
-	if err := in.writeCheckpoint(sum, view, foldDur); err != nil {
-		return err
+	// A clean restart folds straight back to the checkpoint it seeded
+	// from; re-encoding and fsyncing it would rewrite identical bytes.
+	unchanged := in.seeded.unchanged(sum, view, in.epoch.Load())
+	in.seeded = nil
+	if !unchanged {
+		if err := in.writeCheckpoint(sum, view, foldDur); err != nil {
+			return err
+		}
 	}
 	in.tr.StampThrough(trace.StageCheckpointWrite, covered)
 	if err := in.retireSidecars(view); err != nil {

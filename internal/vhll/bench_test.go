@@ -92,3 +92,44 @@ func BenchmarkCollapse(b *testing.B) {
 		_ = s.Collapse()
 	}
 }
+
+// codecBenchSketches are the codec benchmarks' inputs: a sparse sketch
+// shaped like a chunk's block-local sketch (a few populated cells, the
+// encoder's sorted path) and a dense one (every cell populated, the
+// slot-map scan).
+func codecBenchSketches() []namedSketch {
+	dense := MustNew(9)
+	for i := 0; i < 100000; i++ {
+		dense.AddHash(hll.Hash64(uint64(i)), int64(1000000-i))
+	}
+	return []namedSketch{{"sparse", occupancySketch(9, 2)}, {"dense", dense}}
+}
+
+func BenchmarkAppendBinary(b *testing.B) {
+	for _, c := range codecBenchSketches() {
+		b.Run(c.name, func(b *testing.B) {
+			buf := make([]byte, 0, c.s.EncodedLenBound())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf = c.s.AppendBinary(buf[:0])
+			}
+			b.SetBytes(int64(len(buf)))
+		})
+	}
+}
+
+func BenchmarkUnmarshalBinary(b *testing.B) {
+	for _, c := range codecBenchSketches() {
+		b.Run(c.name, func(b *testing.B) {
+			data := c.s.AppendBinary(nil)
+			var s Sketch
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if err := s.UnmarshalBinary(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -1,13 +1,18 @@
 package vhll
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"ipin/internal/hll"
 )
 
-// FuzzUnmarshalBinary: arbitrary bytes either fail cleanly or decode to a
-// sketch whose invariants hold and which re-encodes losslessly.
+// FuzzUnmarshalBinary is differential: on arbitrary bytes the two-pass
+// decoder and the reference decoder (codec_ref_test.go) must both accept
+// or both reject, and accepted input must decode to equal state — the
+// same in-memory layout, a clean invariant, and the same re-encoding
+// from AppendBinary and the reference encoder.
 func FuzzUnmarshalBinary(f *testing.F) {
 	// Seed with a few valid encodings.
 	for _, n := range []int{0, 3, 50} {
@@ -22,6 +27,16 @@ func FuzzUnmarshalBinary(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(data)
+	}
+	// The differential tests' boundary sketches: golden-suite streams and
+	// occupancies either side of the encoder's sort/scan switch. Seeds
+	// stop at precision 10: every larger payload carries 2 KiB to 64 KiB
+	// of count bytes, which cut the fuzzer's exec rate severalfold, and
+	// TestAppendBinaryMatchesReference covers precisions up to 16.
+	for _, c := range boundarySketches() {
+		if c.s.Precision() <= 10 {
+			f.Add(c.s.AppendBinary(nil))
+		}
 	}
 	// Arena-shaped edge cases: the flat layout's interesting boundaries
 	// are long empty-cell runs, one cell holding a maximal staircase, and
@@ -58,24 +73,31 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	f.Add([]byte("VHL1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var s Sketch
-		if err := s.UnmarshalBinary(data); err != nil {
+		var got Sketch
+		err := got.UnmarshalBinary(data)
+		want, refErr := refUnmarshalBinary(data)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decoders disagree: UnmarshalBinary %v, reference %v", err, refErr)
+		}
+		if err != nil {
 			return
 		}
-		if err := s.CheckInvariant(); err != nil {
+		if err := got.CheckInvariant(); err != nil {
 			t.Fatalf("accepted payload violates invariant: %v", err)
 		}
-		// Lossless re-encode.
-		out, err := s.MarshalBinary()
-		if err != nil {
-			t.Fatalf("re-marshal: %v", err)
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatal("decoded state differs from the reference decoder's")
 		}
-		var s2 Sketch
-		if err := s2.UnmarshalBinary(out); err != nil {
-			t.Fatalf("re-unmarshal: %v", err)
+		out := got.AppendBinary(nil)
+		if !bytes.Equal(out, refMarshalBinary(want)) {
+			t.Fatal("re-encodings differ")
 		}
-		if s2.Estimate() != s.Estimate() {
-			t.Fatal("estimate changed across re-encode")
+		var again Sketch
+		if err := again.UnmarshalBinary(out); err != nil {
+			t.Fatalf("re-decode: %v", err)
+		}
+		if !reflect.DeepEqual(&again, &got) {
+			t.Fatal("state changed across re-encode")
 		}
 	})
 }

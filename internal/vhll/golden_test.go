@@ -82,16 +82,16 @@ func goldenHash(p int, cell uint32, rank uint8) uint64 {
 	return h
 }
 
-// runGoldenCase drives the case's op stream and captures outputs.
-func runGoldenCase(t *testing.T, gc goldenCase) goldenOut {
-	t.Helper()
+// driveGoldenCase runs the case's op stream and returns the driven
+// sketch, the side sketch it is merged with, and the timestamp range fed.
+func driveGoldenCase(gc goldenCase) (s, other *Sketch, minAt, maxAt int64) {
 	rng := rand.New(rand.NewSource(gc.Seed))
-	s := MustNew(gc.Precision)
-	other := MustNew(gc.Precision)
+	s = MustNew(gc.Precision)
+	other = MustNew(gc.Precision)
 
 	const span = int64(1 << 20)
 	cur := span
-	minAt, maxAt := span, int64(0)
+	minAt, maxAt = span, int64(0)
 	add := func(dst *Sketch, h uint64, at int64) {
 		dst.AddHash(h, at)
 		if at < minAt {
@@ -139,6 +139,13 @@ func runGoldenCase(t *testing.T, gc goldenCase) goldenOut {
 			s.Prune(cur, span/8)
 		}
 	}
+	return s, other, minAt, maxAt
+}
+
+// runGoldenCase drives the case's op stream and captures outputs.
+func runGoldenCase(t *testing.T, gc goldenCase) goldenOut {
+	t.Helper()
+	s, other, minAt, maxAt := driveGoldenCase(gc)
 	if err := s.CheckInvariant(); err != nil {
 		t.Fatalf("%s: invariant after ops: %v", gc.Name, err)
 	}

@@ -738,18 +738,32 @@ func (s *Sketch) CheckInvariant() error {
 	if caps+s.garbage != len(s.arena) {
 		return fmt.Errorf("vhll: capacities %d + garbage %d != arena %d", caps, s.garbage, len(s.arena))
 	}
-	// Regions must not overlap: sort by offset and check adjacency.
-	if len(s.regs) > 1 {
-		order := make([]int, len(s.regs))
-		for i := range order {
-			order[i] = i
-		}
-		slices.SortFunc(order, func(a, b int) int { return int(s.regs[a].off) - int(s.regs[b].off) })
-		for i := 1; i < len(order); i++ {
-			prev, cur := s.regs[order[i-1]], s.regs[order[i]]
-			if int(prev.off)+int(prev.c) > int(cur.off) {
-				return fmt.Errorf("vhll: regions of cells %d and %d overlap", s.occupied[order[i-1]], s.occupied[order[i]])
+	return s.checkDisjoint()
+}
+
+// checkDisjoint verifies that no two regions overlap by checking
+// adjacency in offset order. Regions already in offset order — a decoded
+// or cloned sketch's are — are checked in place, without allocating;
+// otherwise an index sorted by offset is built first.
+func (s *Sketch) checkDisjoint() error {
+	var order []int // nil: the region table itself is in offset order
+	for k := 1; k < len(s.regs); k++ {
+		if s.regs[k].off < s.regs[k-1].off {
+			order = make([]int, len(s.regs))
+			for i := range order {
+				order[i] = i
 			}
+			slices.SortFunc(order, func(a, b int) int { return int(s.regs[a].off) - int(s.regs[b].off) })
+			break
+		}
+	}
+	for i := 1; i < len(s.regs); i++ {
+		a, b := i-1, i
+		if order != nil {
+			a, b = order[a], order[b]
+		}
+		if prev, cur := s.regs[a], s.regs[b]; int(prev.off)+int(prev.c) > int(cur.off) {
+			return fmt.Errorf("vhll: regions of cells %d and %d overlap", s.occupied[a], s.occupied[b])
 		}
 	}
 	return nil
